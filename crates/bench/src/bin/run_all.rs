@@ -2,7 +2,12 @@
 //! (Figures 2/12 statistics, Figure 10, Figure 11, Figure 13, Figure 14).
 //!
 //! Equivalent to invoking `fig10`, `fig11`, `fig12_table`, `fig13` and
-//! `fig14` in sequence; scale with the `N` environment variable.
+//! `fig14` in sequence; scale with the `N` environment variable. The
+//! sibling binaries must be built next to this one:
+//!
+//! ```sh
+//! cargo build --release -p igm-bench --bins && target/release/run_all
+//! ```
 
 use std::process::Command;
 
@@ -11,9 +16,12 @@ fn main() {
     let dir = me.parent().expect("exe directory");
     for bin in ["fig10", "fig11", "fig12_table", "fig13", "fig14"] {
         println!("\n################ {bin} ################\n");
-        let status = Command::new(dir.join(bin))
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
+        let status = Command::new(dir.join(bin)).status().unwrap_or_else(|e| {
+            panic!(
+                "failed to launch {bin}: {e} (build every figure binary first: \
+                 cargo build --release -p igm-bench --bins && target/release/run_all)"
+            )
+        });
         assert!(status.success(), "{bin} failed");
     }
 }

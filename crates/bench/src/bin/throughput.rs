@@ -21,7 +21,7 @@ use igm_lba::{chunks, extract_batch, extract_batch_entries, EventBuf, TraceBatch
 use igm_lifeguards::{Lifeguard, LifeguardKind};
 use igm_net::{ForwarderConfig, IngestServer, NetServerConfig, TraceForwarder};
 use igm_obs::MetricsRegistry;
-use igm_runtime::{MonitorPool, PipelineMode, PoolConfig, SessionConfig};
+use igm_runtime::{MonitorPool, PoolConfig, SessionConfig};
 use igm_trace::{IngestConfig, Ingestor, IterSource, TraceReader, TraceWriter};
 use igm_workload::Benchmark;
 use std::sync::Arc;
@@ -115,50 +115,6 @@ fn run_median(kind: LifeguardKind, workers: usize, n: u64, reps: usize) -> RunRe
     let mut runs: Vec<RunResult> = (0..reps).map(|_| run_once(kind, workers, n)).collect();
     runs.sort_by(|a, b| a.records_per_sec.total_cmp(&b.records_per_sec));
     runs.remove((runs.len() - 1) / 2)
-}
-
-/// Single-tenant scaling: ONE hot session through `workers` shards,
-/// forced through the intra-session epoch pipeline (`Always`) or pinned
-/// to the plain per-session spine (`Never`). This is the single-session
-/// wall the pipelining work targets: before it, a lone tenant's rate was
-/// flat in the worker count because one session never left one worker.
-fn run_single_once(kind: LifeguardKind, workers: usize, n: u64, mode: PipelineMode) -> f64 {
-    let bench = Benchmark::Gcc;
-    let trace: Vec<igm_isa::TraceEntry> = bench.trace(n).collect();
-    let chunk_bytes = std::env::var("CHUNK")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(PoolConfig::default().chunk_bytes);
-    let pool = MonitorPool::new(PoolConfig {
-        chunk_bytes,
-        pipeline: mode,
-        ..PoolConfig::with_workers(workers)
-    });
-    let session = pool.open_session(
-        SessionConfig::new(bench.name(), kind)
-            .synthetic()
-            .premark(&bench.profile().premark_regions()),
-    );
-    let start = Instant::now();
-    session.stream(trace).expect("pool alive");
-    let report = session.finish();
-    let elapsed = start.elapsed().as_secs_f64();
-    assert!(report.violations.is_empty(), "clean workloads only");
-    pool.shutdown();
-    n as f64 / elapsed
-}
-
-/// Median single-tenant rate (same selection rule as [`run_median`]).
-fn run_single_median(
-    kind: LifeguardKind,
-    workers: usize,
-    n: u64,
-    reps: usize,
-    mode: PipelineMode,
-) -> f64 {
-    let mut runs: Vec<f64> = (0..reps).map(|_| run_single_once(kind, workers, n, mode)).collect();
-    runs.sort_by(f64::total_cmp);
-    runs[(runs.len() - 1) / 2]
 }
 
 /// One multiplexed-ingest measurement: records/sec plus the backpressure
@@ -547,9 +503,13 @@ fn main() {
         "lifeguard", "workers", "records/s", "stalls", "stall ms", "steals"
     );
     let mut entries = Vec::new();
+    let mut addr_rates: Vec<(usize, f64)> = Vec::new();
     for kind in lifeguards {
         for workers in worker_counts {
             let r = run_median(kind, workers, n, reps);
+            if kind == LifeguardKind::AddrCheck {
+                addr_rates.push((workers, r.records_per_sec));
+            }
             println!(
                 "{:<12} {:>8} {:>16.0} {:>8} {:>12.1} {:>8}",
                 kind.name(),
@@ -572,52 +532,17 @@ fn main() {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Intra-session scaling: ONE tenant, pipelined vs sequential. A floor
-    // on the record count keeps the section meaningful under smoke-run
-    // N values (pipelining amortizes over epochs; a few-ms run is all
-    // warmup).
-    // ------------------------------------------------------------------
-    let n_single = n.max(20_000);
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    println!(
-        "\nintra-session scaling: 1 tenant x {n_single} records, pipelined vs sequential \
-         ({cores} cores)\n"
-    );
-    println!(
-        "{:<12} {:>8} {:>18} {:>18}",
-        "lifeguard", "workers", "pipelined rec/s", "sequential rec/s"
-    );
-    let mut single_entries = Vec::new();
-    let mut addr_rates: Vec<(usize, f64)> = Vec::new();
-    for kind in [LifeguardKind::AddrCheck, LifeguardKind::MemCheck] {
-        for workers in worker_counts {
-            let piped = run_single_median(kind, workers, n_single, reps, PipelineMode::Always);
-            let seq = run_single_median(kind, workers, n_single, reps, PipelineMode::Never);
-            println!("{:<12} {:>8} {:>18.0} {:>18.0}", kind.name(), workers, piped, seq);
-            if kind == LifeguardKind::AddrCheck {
-                addr_rates.push((workers, piped));
-            }
-            single_entries.push(format!(
-                "      {{\"lifeguard\": \"{}\", \"workers\": {}, \
-                 \"pipelined_records_per_sec\": {:.0}, \"sequential_records_per_sec\": {:.0}}}",
-                kind.name(),
-                workers,
-                piped,
-                seq
-            ));
-        }
-    }
-    // The scaling gate: the pipelined 8-worker AddrCheck rate must beat
+    // The scaling gate: the multi-tenant 8-worker AddrCheck rate must beat
     // the 1-worker one wherever the host can express parallelism at all;
     // on a single-core host every worker count shares one execution
     // stream, so the comparison degenerates to scheduler noise and the
     // gate reports the hardware limit instead of a bogus verdict.
     let rate_1w = addr_rates.iter().find(|(w, _)| *w == 1).map(|(_, r)| *r).unwrap_or(0.0);
     let rate_8w = addr_rates.iter().find(|(w, _)| *w == 8).map(|(_, r)| *r).unwrap_or(0.0);
+    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     let addrcheck_8w_exceeds_1w = cores < 2 || rate_8w > rate_1w;
     println!(
-        "addrcheck 8w/1w pipelined speedup: {:.2}x ({})",
+        "\naddrcheck 8w/1w multi-tenant speedup: {:.2}x on {cores} cores ({})",
         rate_8w / rate_1w.max(1.0),
         if cores < 2 { "single-core host, gate waived" } else { "gated" }
     );
@@ -1095,18 +1020,14 @@ fn main() {
         lake_query_entries.join(",\n")
     );
 
-    let intra_session = format!(
-        "{{\n    \"records\": {n_single},\n    \"cores\": {cores},\n    \
-         \"addrcheck_8w_exceeds_1w\": {addrcheck_8w_exceeds_1w},\n    \"results\": [\n{}\n    ]\n  }}",
-        single_entries.join(",\n")
-    );
     let json = format!(
-        "{{\n  \"bench\": \"throughput\",\n  \"tenants\": {},\n  \"records_per_tenant\": {},\n  \"reps\": {},\n  \"results\": [\n{}\n  ],\n  \"intra_session_scaling\": {},\n  \"ingest_results\": [\n{}\n  ],\n  \"net_ingest\": [\n{}\n  ],\n  \"codec\": [\n{}\n  ],\n  \"extraction\": [\n{}\n  ],\n  \"metrics_overhead\": [\n{}\n  ],\n  \"span_overhead\": [\n{}\n  ],\n  \"dispatch_latency\": [\n{}\n  ],\n  \"lake\": {}\n}}\n",
+        "{{\n  \"bench\": \"throughput\",\n  \"tenants\": {},\n  \"records_per_tenant\": {},\n  \"reps\": {},\n  \"cores\": {},\n  \"addrcheck_8w_exceeds_1w\": {},\n  \"results\": [\n{}\n  ],\n  \"ingest_results\": [\n{}\n  ],\n  \"net_ingest\": [\n{}\n  ],\n  \"codec\": [\n{}\n  ],\n  \"extraction\": [\n{}\n  ],\n  \"metrics_overhead\": [\n{}\n  ],\n  \"span_overhead\": [\n{}\n  ],\n  \"dispatch_latency\": [\n{}\n  ],\n  \"lake\": {}\n}}\n",
         TENANTS.len(),
         n,
         reps,
+        cores,
+        addrcheck_8w_exceeds_1w,
         entries.join(",\n"),
-        intra_session,
         ingest_entries.join(",\n"),
         net_entries.join(",\n"),
         codec_entries.join(",\n"),

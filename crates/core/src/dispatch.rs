@@ -88,8 +88,7 @@ impl Default for DispatchStats {
 ///
 /// The pipeline is `Clone + Send`: the streaming runtime (`igm-runtime`)
 /// instantiates one pipeline per lifeguard shard and moves it onto a worker
-/// thread; cloning snapshots the accelerator state for epoch-parallel
-/// checking.
+/// thread; a clone snapshots the accelerator state.
 #[derive(Debug, Clone)]
 pub struct DispatchPipeline {
     etct: Etct,

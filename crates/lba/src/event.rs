@@ -287,22 +287,6 @@ impl EventBuf {
         self.record_ends.clear();
     }
 
-    /// Events the buffer can hold before reallocating.
-    pub fn capacity(&self) -> usize {
-        self.events.capacity()
-    }
-
-    /// Empties the buffer and releases capacity beyond `events` events /
-    /// `records` record boundaries. Long-lived consumers that occasionally
-    /// process an oversized batch (an epoch job spanning tens of thousands
-    /// of records) call this afterwards so one outlier does not pin
-    /// epoch-grain staging capacity for the consumer's whole lifetime.
-    pub fn shrink_to(&mut self, events: usize, records: usize) {
-        self.clear();
-        self.events.shrink_to(events);
-        self.record_ends.shrink_to(records);
-    }
-
     /// Appends one event to the current (open) record.
     #[inline]
     pub fn push(&mut self, ev: DeliveredEvent) {

@@ -152,49 +152,6 @@ impl LifeguardKind {
             LifeguardKind::LockSet => AnyLifeguard::LockSet(LockSet::new(&cfg)),
         }
     }
-
-    /// Which events the epoch-parallel *spine* may elide (the runtime's
-    /// analogue of the Figure 2 applicability matrix, refined to per-event
-    /// granularity). The spine's job is to reproduce the exact shadow-state
-    /// evolution at epoch boundaries; any event whose handler is
-    /// metadata-pure can be skipped there, because the parallel epoch job
-    /// replays the *full* event stream against the boundary snapshot and is
-    /// the authoritative source of violations.
-    ///
-    /// * AddrCheck / TaintCheck (± detailed) — access and use checks only
-    ///   read the shadow map and report; the spine elides them all.
-    /// * MemCheck — accessibility checks (`MemRead`/`MemWrite`) are pure,
-    ///   but `Check` handlers *write* metadata to suppress report cascades
-    ///   (register mask and `I_BIT` stores), so those must run on the spine.
-    /// * LockSet — nearly every access refines the word's state machine or
-    ///   candidate lockset; nothing can be elided.
-    ///
-    /// Spine-side violations on elided-capable runs are discarded — the
-    /// epoch jobs re-derive the complete, ordered violation sequence.
-    pub fn spine_elides(self, ev: &igm_lba::Event) -> bool {
-        match self {
-            LifeguardKind::AddrCheck
-            | LifeguardKind::TaintCheck
-            | LifeguardKind::TaintCheckDetailed => matches!(
-                ev,
-                igm_lba::Event::Check { .. }
-                    | igm_lba::Event::MemRead(_)
-                    | igm_lba::Event::MemWrite(_)
-            ),
-            LifeguardKind::MemCheck => {
-                matches!(ev, igm_lba::Event::MemRead(_) | igm_lba::Event::MemWrite(_))
-            }
-            LifeguardKind::LockSet => false,
-        }
-    }
-
-    /// Whether [`LifeguardKind::spine_elides`] elides *anything* for this
-    /// lifeguard. The pool's automatic pipelining only engages when it
-    /// does — a lifeguard whose spine must run the full stream (LockSet)
-    /// gains nothing from shipping replay jobs on top of it.
-    pub fn spine_elides_any(self) -> bool {
-        !matches!(self, LifeguardKind::LockSet)
-    }
 }
 
 impl fmt::Display for LifeguardKind {
@@ -252,29 +209,7 @@ pub trait Lifeguard {
     /// Current metadata footprint in bytes (shadow chunks + auxiliary
     /// structures), for the space studies.
     fn metadata_bytes(&self) -> u64;
-
-    /// Snapshots the lifeguard's full state (shadow memory, register
-    /// metadata, allocation records) into an independent shard, or `None`
-    /// when the lifeguard is not shardable. Used by the epoch-parallel
-    /// runtime: each epoch worker checks against a snapshot of the shadow
-    /// state at its epoch boundary. Default: not shardable.
-    fn try_snapshot(&self) -> Option<Box<dyn Lifeguard + Send>> {
-        None
-    }
 }
-
-/// Shadow/state shard construction for epoch-parallel monitoring: any
-/// `Clone + Send` lifeguard is shardable, its snapshot being an ordinary
-/// clone of the shadow structures. Concrete lifeguards implement
-/// [`Lifeguard::try_snapshot`] through this helper.
-pub trait ShardableLifeguard: Lifeguard + Clone + Send + Sized + 'static {
-    /// Clones the lifeguard state into an independent boxed shard.
-    fn snapshot_shard(&self) -> Box<dyn Lifeguard + Send> {
-        Box::new(self.clone())
-    }
-}
-
-impl<T: Lifeguard + Clone + Send + Sized + 'static> ShardableLifeguard for T {}
 
 /// A statically-dispatched sum of the five lifeguards.
 ///
@@ -282,8 +217,7 @@ impl<T: Lifeguard + Clone + Send + Sized + 'static> ShardableLifeguard for T {}
 /// `AnyLifeguard` rather than a `Box<dyn Lifeguard>`: [`handle_batch`]
 /// resolves the variant once per batch and then loops the concrete handler
 /// directly, so the per-event path is a predictable direct call instead of
-/// a vtable load per event. All five variants are `Clone`, which is also
-/// what makes the enum snapshottable for epoch-parallel checking.
+/// a vtable load per event.
 ///
 /// [`handle_batch`]: Lifeguard::handle_batch
 #[derive(Debug, Clone)]
@@ -347,10 +281,6 @@ impl Lifeguard for AnyLifeguard {
     fn metadata_bytes(&self) -> u64 {
         with_each_lifeguard!(self, lg => lg.metadata_bytes())
     }
-
-    fn try_snapshot(&self) -> Option<Box<dyn Lifeguard + Send>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]
@@ -402,31 +332,7 @@ mod tests {
             let boxed = k.build(&cfg);
             assert_eq!(any.kind(), k);
             assert_eq!(any.etct().registered_count(), boxed.etct().registered_count());
-            assert!(any.try_snapshot().is_some(), "{k}: every variant is clonable");
         }
-    }
-
-    #[test]
-    fn spine_elision_matches_metadata_discipline() {
-        use igm_isa::{MemRef, OpClass, Reg};
-        use igm_lba::{CheckKind, Event, MetaSource};
-        let read = Event::MemRead(MemRef::word(0x9000));
-        let check =
-            Event::Check { kind: CheckKind::CondBranchInput, source: MetaSource::Reg(Reg::Eax) };
-        let prop = Event::Prop(OpClass::ImmToReg { rd: Reg::Eax });
-        for k in
-            [LifeguardKind::AddrCheck, LifeguardKind::TaintCheck, LifeguardKind::TaintCheckDetailed]
-        {
-            assert!(k.spine_elides(&read) && k.spine_elides(&check), "{k}");
-            assert!(!k.spine_elides(&prop), "{k}: updates always run on the spine");
-        }
-        assert!(LifeguardKind::MemCheck.spine_elides(&read));
-        assert!(
-            !LifeguardKind::MemCheck.spine_elides(&check),
-            "MemCheck check handlers write cascade-suppression state"
-        );
-        assert!(!LifeguardKind::LockSet.spine_elides(&read));
-        assert!(!LifeguardKind::LockSet.spine_elides(&check));
     }
 
     #[test]

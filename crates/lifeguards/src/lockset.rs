@@ -379,9 +379,6 @@ impl Lifeguard for LockSet {
         self.meta.metadata_bytes()
             + self.registry.sets.iter().map(|s| 8 + 4 * s.len() as u64).sum::<u64>()
     }
-    fn try_snapshot(&self) -> Option<Box<dyn Lifeguard + Send>> {
-        Some(crate::ShardableLifeguard::snapshot_shard(self))
-    }
 }
 
 #[cfg(test)]

@@ -301,9 +301,6 @@ impl Lifeguard for TaintCheck {
     fn metadata_bytes(&self) -> u64 {
         self.meta.metadata_bytes() + 8
     }
-    fn try_snapshot(&self) -> Option<Box<dyn Lifeguard + Send>> {
-        Some(crate::ShardableLifeguard::snapshot_shard(self))
-    }
 }
 
 #[cfg(test)]

@@ -392,9 +392,6 @@ impl Lifeguard for TaintCheckDetailed {
     fn metadata_bytes(&self) -> u64 {
         self.meta.metadata_bytes() + 64
     }
-    fn try_snapshot(&self) -> Option<Box<dyn Lifeguard + Send>> {
-        Some(crate::ShardableLifeguard::snapshot_shard(self))
-    }
 }
 
 #[cfg(test)]

@@ -64,25 +64,6 @@ pub enum EventKind {
         /// Why it was refused.
         reason: String,
     },
-    /// A hot session switched to intra-session epoch pipelining: the
-    /// worker now runs an update-only spine and streams snapshot-check
-    /// epoch jobs to the pool.
-    PipelineEnter {
-        /// The session that went hot.
-        session: u64,
-        /// Tenant label.
-        tenant: String,
-    },
-    /// A pipelined session's backlog drained; it returned to plain
-    /// sequential pumping.
-    PipelineExit {
-        /// The session.
-        session: u64,
-        /// Tenant label.
-        tenant: String,
-        /// Epoch jobs shipped during this pipelined stretch.
-        epochs: u64,
-    },
     /// A lifeguard reported a violation.
     Violation {
         /// Reporting session.
@@ -113,8 +94,6 @@ impl EventKind {
             EventKind::Steal { .. } => "steal",
             EventKind::LaneFailure { .. } => "lane_failure",
             EventKind::HandshakeReject { .. } => "handshake_reject",
-            EventKind::PipelineEnter { .. } => "pipeline_enter",
-            EventKind::PipelineExit { .. } => "pipeline_exit",
             EventKind::Violation { .. } => "violation",
         }
     }

@@ -293,17 +293,6 @@ impl EventsSnapshot {
                         json_str(reason)
                     );
                 }
-                EventKind::PipelineEnter { session, tenant } => {
-                    let _ =
-                        write!(out, ", \"session\": {session}, \"tenant\": {}", json_str(tenant));
-                }
-                EventKind::PipelineExit { session, tenant, epochs } => {
-                    let _ = write!(
-                        out,
-                        ", \"session\": {session}, \"tenant\": {}, \"epochs\": {epochs}",
-                        json_str(tenant)
-                    );
-                }
                 EventKind::Violation { session, tenant, detail, record, spans } => {
                     let _ = write!(
                         out,

@@ -5,10 +5,11 @@
 //! design out in software, the way FireGuard-style fabrics scale fine-grained
 //! monitoring to many cores: many tenants stream compressed log records
 //! through bounded SPSC channels into a shared pool of **lifeguard worker
-//! shards**, and a single hot application can additionally be checked
-//! **epoch-parallel** across the pool.
+//! shards**. Parallelism is across sessions, as in the paper: one session
+//! is checked by one worker at a time, which holds its lifeguard and
+//! shadow state.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`spsc`] — the bounded [`log_channel`]: columnar
 //!   [`igm_lba::TraceBatch`] chunks ([`igm_lba::chunks`]), byte-accurate
@@ -23,29 +24,15 @@
 //!   pipeline and shadow-memory shard are owned by exactly one worker at a
 //!   time; an idle worker steals a runnable session — pending batches and
 //!   shadow shard together — from a loaded one, so a hot tenant cannot
-//!   starve the sessions queued behind it. The per-session hot path is
-//!   batch-grain (`dispatch_batch` → `handle_batch`, statically dispatched
-//!   through `AnyLifeguard`) with no per-record allocation. Per-tenant
-//!   [`SessionHandle`]s; an aggregated [`ViolationStream`] and pool/session
-//!   [`stats`] — which, since the `igm-obs` integration, are views over
-//!   the pool's metrics registry ([`MonitorPool::metrics`]): per-lifeguard
-//!   dispatch-latency histograms, channel queue-latency/occupancy, steal
-//!   and park counters, a lifecycle-event ring, all scrapeable live via
-//!   [`MonitorPool::serve_stats`]. A single hot session no longer caps
-//!   out at one worker's throughput: when its channel stays
-//!   byte-saturated the pool switches it to **intra-session epoch
-//!   pipelining** ([`pool::PipelineMode`]) — the owning worker runs an
-//!   update-only spine (per-lifeguard check elision,
-//!   [`igm_lifeguards::LifeguardKind::spine_elides`]) and streams
-//!   snapshot-check epoch jobs through the shared injector, emitting
-//!   violations in epoch order so the observable sequence is identical
-//!   to sequential checking.
-//! * [`epoch`] — [`monitor_epoch_parallel`]: epoch-chunked parallel checking
-//!   of one trace against snapshotted shadow state. Every lifeguard runs
-//!   parallel: epoch jobs replay the *full* event stream from the epoch
-//!   boundary snapshot, so even metadata that does not commute with check
-//!   elision (MemCheck's cascade suppression, LockSet's lockset
-//!   refinement) evolves exactly as it would sequentially.
+//!   starve the sessions queued behind it. Each session runs on one path:
+//!   a batch-grain pump (`dispatch_batch` → `handle_batch`, statically
+//!   dispatched through `AnyLifeguard`) with no per-record allocation.
+//!   Per-tenant [`SessionHandle`]s; an aggregated [`ViolationStream`] and
+//!   pool/session [`stats`] — which are views over the pool's metrics
+//!   registry ([`MonitorPool::metrics`]): per-lifeguard dispatch-latency
+//!   histograms, channel queue-latency/occupancy, steal and park
+//!   counters, a lifecycle-event ring, all scrapeable live via
+//!   [`MonitorPool::serve_stats`].
 //!
 //! # Example: two tenants, one pool
 //!
@@ -73,17 +60,12 @@
 //! pool.shutdown();
 //! ```
 
-pub mod epoch;
 pub mod pool;
 pub mod spsc;
 pub mod stats;
 
-pub use epoch::{
-    adaptive_next_budget, monitor_epoch_parallel, monitor_epoch_parallel_with, EpochConfig,
-    EpochReport, DEFAULT_EPOCH_RECORDS,
-};
 pub use pool::{
-    MonitorPool, PipelineMode, PoolConfig, PoolViolation, SessionConfig, SessionHandle, SessionId,
+    MonitorPool, PoolConfig, PoolViolation, SessionConfig, SessionHandle, SessionId,
     ViolationStream,
 };
 pub use spsc::{log_channel, ChannelStatsSnapshot, LogConsumer, LogProducer, SendError};

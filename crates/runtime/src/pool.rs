@@ -26,25 +26,13 @@
 //! [`AnyLifeguard`]) runs the handlers — no closure, virtual call or heap
 //! allocation per record.
 //!
-//! Workers also execute [`EpochJob`]s for the epoch-parallel path (see
-//! [`crate::epoch`]) from a shared injector queue, interleaved with session
-//! traffic; one job occupies its worker for at most one epoch's worth of
-//! records.
-//!
-//! **Intra-session epoch pipelining** breaks the one-session-one-worker
-//! wall for a *hot* tenant: when a session's log channel stays at least
-//! half full for a few consecutive pump turns (or always, under
-//! [`PipelineMode::Always`]), its owner switches to an update-only spine —
-//! events the lifeguard's [`LifeguardKind::spine_elides`] mask marks
-//! metadata-pure are skipped — and accumulates the drained record batches
-//! into epochs that ship through the shared injector as [`EpochJob`]s.
-//! Each job replays its epoch's full event stream against the
-//! boundary-snapshotted shadow state, so the emitted violation sequence is
-//! byte-identical to sequential monitoring; results merge back in epoch
-//! order and their arenas recycle into the session's spare pool. When the
-//! backlog drains the session drops back to plain pumping.
+//! Every session runs on exactly one path, `ActiveSession::pump_plain`,
+//! on whichever worker owns it at the moment. The pool's parallelism is
+//! across sessions, as in the paper, where one lifeguard core consumes one
+//! application's log and holds its shadow state: a single hot tenant is
+//! checked at one worker's speed, and its batches are never split across
+//! workers.
 
-use crate::epoch::EpochConfig;
 use crate::spsc::{
     log_channel_with, ChannelObs, ChannelStatsSnapshot, LogConsumer, LogProducer, SendError,
 };
@@ -52,13 +40,11 @@ use crate::stats::{PoolStats, PoolStatsSnapshot, SessionReport};
 use igm_core::{AccelConfig, DispatchPipeline};
 use igm_lba::{chunks, EventBuf, TraceBatch};
 use igm_lifeguards::{AnyLifeguard, CostSink, Lifeguard, LifeguardKind, Violation};
-use igm_obs::{
-    Counter, EventKind, EventRing, Gauge, Histogram, MetricsRegistry, RouteHandler, StatsServer,
-};
+use igm_obs::{EventKind, EventRing, Histogram, MetricsRegistry, RouteHandler, StatsServer};
 use igm_span::{
     alloc_flow, tenant_id, FlightRecorder, FrameTag, RecordId, Sampler, SpanConfig, Stage, Track,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -82,36 +68,12 @@ pub struct PoolConfig {
     /// forwarder) on a single stats endpoint.
     pub metrics: Option<Arc<MetricsRegistry>>,
     /// Whether the pool runs a span [`FlightRecorder`] (`igm-span`):
-    /// sampled frames get `channel_wait`/`dispatch` stage records, epoch
-    /// jobs get `epoch_job` ones, violations snapshot their frame's span
-    /// chain into the event ring, and [`MonitorPool::serve_stats`] serves
-    /// `/spans.json` and `/trace`. On by default — unsampled frames cost
-    /// one branch per batch (see the bench's `span_overhead` section).
+    /// sampled frames get `channel_wait`/`dispatch` stage records,
+    /// violations snapshot their frame's span chain into the event ring,
+    /// and [`MonitorPool::serve_stats`] serves `/spans.json` and `/trace`.
+    /// On by default — unsampled frames cost one branch per batch (see the
+    /// bench's `span_overhead` section).
     pub spans: bool,
-    /// When sessions switch to intra-session epoch pipelining
-    /// ([`PipelineMode::Auto`] by default: hot sessions only).
-    pub pipeline: PipelineMode,
-    /// Epoch sizing for pipelined sessions. Defaults to
-    /// [`EpochConfig::adaptive`] — epochs are steady-state now, so the
-    /// check-density feedback sizing is the pool default.
-    pub epoch: EpochConfig,
-}
-
-/// When a session switches to intra-session epoch pipelining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineMode {
-    /// Pipeline a session while its log channel runs hot (at least half
-    /// full for [`HOT_TURNS_TO_PIPELINE`] consecutive pump turns) and its
-    /// lifeguard's spine can elide something
-    /// ([`LifeguardKind::spine_elides_any`]); drop back once the backlog
-    /// drains. The default.
-    #[default]
-    Auto,
-    /// Pipeline every session from its first record, whatever the
-    /// lifeguard (bench/determinism-test mode).
-    Always,
-    /// Never pipeline.
-    Never,
 }
 
 impl Default for PoolConfig {
@@ -127,8 +89,6 @@ impl Default for PoolConfig {
             chunk_bytes: 16 * 1024,
             metrics: None,
             spans: true,
-            pipeline: PipelineMode::default(),
-            epoch: EpochConfig::adaptive(),
         }
     }
 }
@@ -316,42 +276,6 @@ impl Doorbell {
     }
 }
 
-/// An epoch of records checked against a snapshotted lifeguard shard (see
-/// [`crate::epoch`] and the pipelined path in [`ActiveSession`]).
-pub(crate) struct EpochJob {
-    pub index: usize,
-    pub lifeguard: AnyLifeguard,
-    pub pipeline: DispatchPipeline,
-    /// The epoch's record batches, replayed in order against the snapshot.
-    pub records: Vec<TraceBatch>,
-    /// Global record sequence of the epoch's first record (for violation
-    /// record-id attribution).
-    pub first_record: u64,
-    pub done: Sender<EpochResult>,
-    /// `Some(home hint)` for jobs shipped by a pipelined session: the
-    /// session already accounts records/delivered/violations on its live
-    /// spine (the job must not double-count pool stats), and the session's
-    /// current worker is rung when the result lands so drains do not wait
-    /// out a park timeout.
-    pub pipelined: Option<Arc<AtomicUsize>>,
-}
-
-/// Result of one [`EpochJob`].
-#[derive(Debug)]
-pub(crate) struct EpochResult {
-    pub index: usize,
-    pub violations: Vec<Violation>,
-    /// The job's `first_record`, echoed back for attribution.
-    pub first_record: u64,
-    pub delivered: u64,
-    /// The job's record batches, handed back so the epoch driver can
-    /// recycle their column capacity instead of reallocating.
-    pub records: Vec<TraceBatch>,
-    /// The job's lifeguard panicked: the epoch's violations are unknown
-    /// and the driver must not emit a silently truncated sequence.
-    pub failed: bool,
-}
-
 /// One worker's resident-session deque with a lock-free occupancy mirror,
 /// so steal scans (and the worker's own idle passes) skip empty shards
 /// without touching the lock.
@@ -403,11 +327,6 @@ struct PoolShared {
     /// one deque — or in neither while the worker that popped it is pumping
     /// it, which is what makes a mid-pump session unstealable.
     shards: Vec<Shard>,
-    /// Injector queue for epoch-parallel check jobs; any worker serves it.
-    epoch_jobs: Mutex<VecDeque<EpochJob>>,
-    /// Mirror of `epoch_jobs.len()`, so the (hot) worker loop skips the
-    /// injector lock entirely while no epoch run is active.
-    epoch_pending: AtomicUsize,
     /// One doorbell per worker (sticky wakeups: `send_batch` rings the
     /// session's home worker first).
     doorbells: Vec<Doorbell>,
@@ -421,45 +340,23 @@ struct PoolShared {
     /// `igm_dispatch_batch_nanos{lifeguard=…}`, indexed in
     /// [`LifeguardKind::ALL`] order; sessions clone their kind's handle.
     dispatch_hists: Vec<Histogram>,
-    /// `igm_pool_epoch_job_nanos`.
-    epoch_hist: Histogram,
-    /// `igm_epoch_pipeline_active`: sessions currently pipelined.
-    pipeline_active: Gauge,
-    /// `igm_epoch_backlog_records`: records accepted by pipelined spines
-    /// but not yet emitted by their epoch jobs.
-    epoch_backlog: Gauge,
-    /// `igm_epoch_journal_checks_total{lifeguard=…}`, indexed in
-    /// [`LifeguardKind::ALL`] order: spine-elided (journaled) events whose
-    /// checks were deferred to epoch jobs.
-    journal_counters: Vec<Counter>,
     /// Registry handles every session log channel clones
     /// (`igm_channel_queue_latency_nanos`, `igm_channel_occupancy_bytes`).
     channel_obs: ChannelObs,
     /// The span flight recorder (`None` when [`PoolConfig::spans`] is
-    /// off). Workers stamp `channel_wait`/`dispatch`/`epoch_job` stages
-    /// for tagged (sampled) frames; `igm-net` endpoints attach to the
-    /// same recorder so wire-side stages join the pool-side chains.
+    /// off). Workers stamp `channel_wait`/`dispatch` stages for tagged
+    /// (sampled) frames; `igm-net` endpoints attach to the same recorder
+    /// so wire-side stages join the pool-side chains.
     recorder: Option<Arc<FlightRecorder>>,
     /// `igm_span_stage_nanos{stage=…}` for the pool-side stages (detached
     /// no-ops when spans are off).
     span_hists: SpanStageHists,
-    /// Span origin for epoch jobs: they carry no producer frame tag, so
-    /// sampled jobs chain under the pool's own epoch flow, keyed by job
-    /// index.
-    epoch_span: Option<EpochSpan>,
 }
 
 /// Pool-side stage histograms, indexed by name for the hot path.
 struct SpanStageHists {
     channel_wait: Histogram,
     dispatch: Histogram,
-    epoch_job: Histogram,
-}
-
-/// Flow id and sampler for the epoch-job span origin.
-struct EpochSpan {
-    flow: u32,
-    sampler: Sampler,
 }
 
 impl PoolShared {
@@ -483,32 +380,6 @@ impl PoolShared {
                 return;
             }
         }
-    }
-
-    /// Wakes one worker, any worker (epoch jobs live in a shared injector
-    /// queue). Every doorbell is bumped — matching the old global-sequence
-    /// semantics, so no about-to-park worker can sleep through the event —
-    /// but only the first sleeper found is woken.
-    fn ring_any(&self) {
-        for db in &self.doorbells {
-            db.bump();
-        }
-        for db in &self.doorbells {
-            if db.notify_if_sleeping() {
-                return;
-            }
-        }
-    }
-
-    /// Publishes an epoch job on the shared injector queue; any worker
-    /// serves it.
-    fn submit_epoch(&self, job: EpochJob) {
-        // Increment the mirror before publishing the job: the counter may
-        // transiently overstate the queue (workers then take the lock and
-        // find nothing — harmless) but never understate or underflow it.
-        self.epoch_pending.fetch_add(1, Ordering::SeqCst);
-        self.epoch_jobs.lock().unwrap().push_back(job);
-        self.ring_any();
     }
 
     /// Wakes every worker (session open/close, shutdown — rare control
@@ -556,8 +427,6 @@ pub struct MonitorPool {
     violations_rx: Mutex<Option<Receiver<PoolViolation>>>,
     chunk_bytes: u32,
     channel_capacity_bytes: u32,
-    pipeline_mode: PipelineMode,
-    epoch_cfg: EpochConfig,
 }
 
 impl MonitorPool {
@@ -576,16 +445,6 @@ impl MonitorPool {
                 metrics.histogram_with(
                     "igm_dispatch_batch_nanos",
                     "per-batch dispatch + handler latency",
-                    &[("lifeguard", kind.name())],
-                )
-            })
-            .collect();
-        let journal_counters = LifeguardKind::ALL
-            .iter()
-            .map(|kind| {
-                metrics.counter_with(
-                    "igm_epoch_journal_checks_total",
-                    "spine-elided (journaled) events whose checks ran in epoch jobs",
                     &[("lifeguard", kind.name())],
                 )
             })
@@ -613,10 +472,7 @@ impl MonitorPool {
         let span_hists = SpanStageHists {
             channel_wait: span_hist(Stage::ChannelWait),
             dispatch: span_hist(Stage::Dispatch),
-            epoch_job: span_hist(Stage::EpochJob),
         };
-        let epoch_span =
-            recorder.as_ref().map(|r| EpochSpan { flow: alloc_flow(), sampler: r.sampler() });
         let channel_obs = ChannelObs {
             queue_latency: metrics.histogram(
                 "igm_channel_queue_latency_nanos",
@@ -629,30 +485,16 @@ impl MonitorPool {
         };
         let shared = Arc::new(PoolShared {
             shards: (0..cfg.workers).map(|_| Shard::default()).collect(),
-            epoch_jobs: Mutex::new(VecDeque::new()),
-            epoch_pending: AtomicUsize::new(0),
             doorbells: (0..cfg.workers).map(|_| Doorbell::default()).collect(),
             stats: PoolStats::new(&metrics),
             shutdown: AtomicBool::new(false),
             violations_tx: vtx,
             stream_taken: AtomicBool::new(false),
             dispatch_hists,
-            epoch_hist: metrics
-                .histogram("igm_pool_epoch_job_nanos", "epoch-job execution latency"),
-            pipeline_active: metrics.gauge(
-                "igm_epoch_pipeline_active",
-                "sessions currently running the intra-session epoch pipeline",
-            ),
-            epoch_backlog: metrics.gauge(
-                "igm_epoch_backlog_records",
-                "records accepted by pipelined spines but not yet emitted by epoch jobs",
-            ),
-            journal_counters,
             channel_obs,
             metrics,
             recorder,
             span_hists,
-            epoch_span,
         });
         let joins = (0..cfg.workers)
             .map(|i| {
@@ -671,8 +513,6 @@ impl MonitorPool {
             violations_rx: Mutex::new(Some(vrx)),
             chunk_bytes: cfg.chunk_bytes,
             channel_capacity_bytes: cfg.channel_capacity_bytes,
-            pipeline_mode: cfg.pipeline,
-            epoch_cfg: cfg.epoch,
         }
     }
 
@@ -723,12 +563,6 @@ impl MonitorPool {
             violation_records: Vec::new(),
             home: Arc::clone(&home),
             dispatch_hist: self.shared.dispatch_hists[kind_index].clone(),
-            journal_counter: self.shared.journal_counters[kind_index].clone(),
-            pipeline_mode: self.pipeline_mode,
-            epoch_cfg: self.epoch_cfg,
-            hot_turns: 0,
-            carried_budget: None,
-            pipe: None,
         };
         self.shared.stats.sessions_opened.inc();
         self.shared.shards[shard].push(session);
@@ -750,12 +584,6 @@ impl MonitorPool {
             home,
             spans,
         }
-    }
-
-    /// Submits an epoch job to the shared injector queue; the next idle
-    /// worker picks it up.
-    pub(crate) fn submit_epoch(&self, job: EpochJob) {
-        self.shared.submit_epoch(job);
     }
 
     /// Takes the pool-wide violation stream. Yields `Some` on the first
@@ -1059,335 +887,13 @@ struct ActiveSession {
     home: Arc<AtomicUsize>,
     /// This session's kind's `igm_dispatch_batch_nanos{lifeguard=…}`.
     dispatch_hist: Histogram,
-    /// This session's kind's `igm_epoch_journal_checks_total{lifeguard=…}`.
-    journal_counter: Counter,
-    /// Pool-level pipelining policy (copied from [`PoolConfig`]).
-    pipeline_mode: PipelineMode,
-    /// Epoch sizing for pipelined stretches (copied from [`PoolConfig`]).
-    epoch_cfg: EpochConfig,
-    /// Consecutive pump turns the log channel was at least half full (the
-    /// [`PipelineMode::Auto`] trigger).
-    hot_turns: u32,
-    /// Last adaptive budget of the previous pipelined stretch, re-clamped
-    /// on re-entry so a hot phase resumes near where it left off.
-    carried_budget: Option<usize>,
-    /// Live pipelining state (`Some` while the session is pipelined).
-    pipe: Option<Box<PipelineState>>,
-}
-
-/// Per-session state while intra-session epoch pipelining is engaged.
-struct PipelineState {
-    /// Shadow state at the current epoch boundary (cloned when the
-    /// previous epoch shipped); the next job replays against it.
-    snapshot: AnyLifeguard,
-    /// Accelerator/dispatch state at the same boundary: replaying the
-    /// identical batch stream through this clone delivers exactly the
-    /// events the live spine pipeline delivered.
-    snapshot_pipeline: DispatchPipeline,
-    /// Record batches accumulated into the current epoch; they travel with
-    /// the job and the result hands them back for recycling.
-    acc: Vec<TraceBatch>,
-    acc_records: usize,
-    /// Check events the accumulating epoch delivered (adaptive feedback).
-    acc_checks: u64,
-    /// Records accepted but not yet emitted (mirrors the pool-wide
-    /// `igm_epoch_backlog_records` contribution of this session).
-    backlog: i64,
-    budget: usize,
-    max_in_flight: usize,
-    next_index: usize,
-    next_emit: usize,
-    in_flight: usize,
-    /// Results that arrived out of epoch order, held until their turn.
-    pending: BTreeMap<usize, EpochResult>,
-    tx: Sender<EpochResult>,
-    rx: Receiver<EpochResult>,
-    /// Reusable staging buffer for the spine's non-elided events.
-    updates: Vec<igm_lba::DeliveredEvent>,
 }
 
 impl ActiveSession {
-    /// Processes up to `max_batches` buffered batches; returns how many
-    /// units of progress were made (batches pumped plus epoch results
-    /// drained). `stats` is the pumping worker's stripe-sharded counter
-    /// clone; `worker`/`ring` are the pumping worker's index and its
-    /// flight-recorder ring.
-    fn pump(
-        &mut self,
-        max_batches: usize,
-        shared: &PoolShared,
-        stats: &PoolStats,
-        worker: usize,
-        ring: usize,
-    ) -> usize {
-        if self.pipe.is_none() && self.should_enter_pipeline() {
-            self.enter_pipeline(shared);
-        }
-        if self.pipe.is_some() {
-            self.pump_pipelined(max_batches, shared, stats)
-        } else {
-            self.pump_plain(max_batches, shared, stats, worker, ring)
-        }
-    }
-
-    /// Whether this pump turn should switch the session to the pipelined
-    /// path. Advances the [`PipelineMode::Auto`] hot-turn counter as a side
-    /// effect.
-    fn should_enter_pipeline(&mut self) -> bool {
-        match self.pipeline_mode {
-            PipelineMode::Never => false,
-            PipelineMode::Always => true,
-            PipelineMode::Auto => {
-                // Pipelining pays off only when the spine can elide work;
-                // a full-stream spine (LockSet) would just add replay on
-                // top of itself.
-                if !self.lifeguard_kind.spine_elides_any() {
-                    return false;
-                }
-                let used = u64::from(self.consumer.used_bytes());
-                let cap = u64::from(self.consumer.capacity_bytes());
-                if used * 2 >= cap {
-                    self.hot_turns += 1;
-                } else {
-                    self.hot_turns = 0;
-                }
-                self.hot_turns >= HOT_TURNS_TO_PIPELINE
-            }
-        }
-    }
-
-    fn enter_pipeline(&mut self, shared: &PoolShared) {
-        let budget = match self.carried_budget {
-            // Re-entry: the carried budget must honor the configuration's
-            // clamp from the very first epoch of the new stretch.
-            Some(b) => self.epoch_cfg.clamp_budget(b),
-            None => self.epoch_cfg.initial_budget(),
-        };
-        let (tx, rx) = mpsc::channel();
-        self.pipe = Some(Box::new(PipelineState {
-            snapshot: self.lifeguard.clone(),
-            snapshot_pipeline: self.pipeline.clone(),
-            acc: Vec::new(),
-            acc_records: 0,
-            acc_checks: 0,
-            backlog: 0,
-            budget,
-            // Bound outstanding jobs like the standalone epoch driver
-            // does; past the cap the spine stops draining the channel and
-            // the bounded channel pushes back on the producer.
-            max_in_flight: 2 * shared.shards.len() + 1,
-            next_index: 0,
-            next_emit: 0,
-            in_flight: 0,
-            pending: BTreeMap::new(),
-            tx,
-            rx,
-            updates: Vec::new(),
-        }));
-        self.hot_turns = 0;
-        shared.pipeline_active.add(1);
-        shared
-            .metrics
-            .events()
-            .record(EventKind::PipelineEnter { session: self.id, tenant: self.name.clone() });
-    }
-
-    fn exit_pipeline(&mut self, shared: &PoolShared) {
-        let pipe = self.pipe.take().expect("exit_pipeline on a non-pipelined session");
-        debug_assert_eq!(pipe.backlog, 0, "exited with unemitted records");
-        self.carried_budget = Some(pipe.budget);
-        self.hot_turns = 0;
-        shared.pipeline_active.sub(1);
-        shared.metrics.events().record(EventKind::PipelineExit {
-            session: self.id,
-            tenant: self.name.clone(),
-            epochs: pipe.next_index as u64,
-        });
-    }
-
-    /// The pipelined pump: update-only spine + epoch job fan-out. Never
-    /// blocks on results — with one worker, this same thread must return
-    /// to the injector queue to run the jobs it shipped.
-    fn pump_pipelined(
-        &mut self,
-        max_batches: usize,
-        shared: &PoolShared,
-        stats: &PoolStats,
-    ) -> usize {
-        let mut progress = usize::from(self.drain_epoch_results(shared, stats));
-        let mut processed = 0;
-        while processed < max_batches {
-            {
-                let pipe = self.pipe.as_ref().expect("pipelined pump without state");
-                // Job window full with a whole epoch already accumulated:
-                // stop draining and let the bounded channel backpressure
-                // the producer while the workers catch up.
-                if pipe.in_flight >= pipe.max_in_flight && pipe.acc_records >= pipe.budget {
-                    break;
-                }
-            }
-            let Some((batch, _published, _tag)) = self.consumer.try_recv_batch_tagged() else {
-                break;
-            };
-            processed += 1;
-            self.records += batch.len() as u64;
-            stats.records.add(batch.len() as u64);
-            // Live dispatch: the spine's pipeline sees every batch, so the
-            // session's DispatchStats equal sequential monitoring exactly.
-            self.pipeline.dispatch_batch(&batch, &mut self.events);
-            let pipe = self.pipe.as_mut().expect("pipelined pump without state");
-            pipe.updates.clear();
-            let mut elided = 0u64;
-            let mut checks = 0u64;
-            for ev in self.events.events() {
-                if crate::epoch::is_check_event(&ev.event) {
-                    checks += 1;
-                }
-                if self.lifeguard_kind.spine_elides(&ev.event) {
-                    elided += 1;
-                } else {
-                    pipe.updates.push(*ev);
-                }
-            }
-            pipe.acc_checks += checks;
-            self.journal_counter.add(elided);
-            self.cost.clear();
-            self.lifeguard.handle_batch(&pipe.updates, &mut self.cost);
-            // Spine-side reports are duplicates of what the epoch job
-            // derives with exact boundary state; the job is authoritative.
-            let _ = self.lifeguard.take_violations();
-            pipe.acc_records += batch.len();
-            pipe.backlog += batch.len() as i64;
-            shared.epoch_backlog.add(batch.len() as i64);
-            pipe.acc.push(batch);
-            if pipe.acc_records >= pipe.budget && pipe.in_flight < pipe.max_in_flight {
-                self.ship_epoch(shared);
-            }
-            if self.drain_epoch_results(shared, stats) {
-                progress += 1;
-            }
-        }
-        // Backlog drained at the source: flush the partial epoch, and once
-        // every shipped job has reported and been emitted in order, drop
-        // back to plain pumping.
-        if self.consumer.pending_batches() == 0 {
-            {
-                let pipe = self.pipe.as_ref().expect("pipelined pump without state");
-                if !pipe.acc.is_empty() && pipe.in_flight < pipe.max_in_flight {
-                    self.ship_epoch(shared);
-                }
-            }
-            if self.drain_epoch_results(shared, stats) {
-                progress += 1;
-            }
-            let pipe = self.pipe.as_ref().expect("pipelined pump without state");
-            if pipe.acc.is_empty() && pipe.in_flight == 0 && pipe.pending.is_empty() {
-                self.exit_pipeline(shared);
-            }
-        }
-        processed + progress
-    }
-
-    /// Ships the accumulated epoch as an [`EpochJob`] and re-snapshots the
-    /// spine at the new boundary.
-    fn ship_epoch(&mut self, shared: &PoolShared) {
-        let pipe = self.pipe.as_mut().expect("ship_epoch on a non-pipelined session");
-        if pipe.acc.is_empty() {
-            return;
-        }
-        let snapshot = std::mem::replace(&mut pipe.snapshot, self.lifeguard.clone());
-        let snapshot_pipeline =
-            std::mem::replace(&mut pipe.snapshot_pipeline, self.pipeline.clone());
-        let job = EpochJob {
-            index: pipe.next_index,
-            lifeguard: snapshot,
-            pipeline: snapshot_pipeline,
-            // The live spine already counted the accumulated records, so
-            // the epoch's first record sits acc_records behind the total.
-            first_record: self.records - pipe.acc_records as u64,
-            records: std::mem::take(&mut pipe.acc),
-            done: pipe.tx.clone(),
-            pipelined: Some(Arc::clone(&self.home)),
-        };
-        pipe.next_index += 1;
-        pipe.in_flight += 1;
-        // Adaptive re-budget from the shipped epoch's check density (a
-        // no-op under fixed sizing).
-        pipe.budget = self.epoch_cfg.next_budget(pipe.acc_records, pipe.acc_checks);
-        pipe.acc_records = 0;
-        pipe.acc_checks = 0;
-        shared.submit_epoch(job);
-    }
-
-    /// Collects finished epoch results without blocking and emits the
-    /// in-order prefix: violations flow to the stream/event ring exactly
-    /// as plain pumping forwards them, and the drained arenas recycle into
-    /// the session's spare pool. Returns whether anything was emitted.
-    fn drain_epoch_results(&mut self, shared: &PoolShared, stats: &PoolStats) -> bool {
-        let Some(pipe) = self.pipe.as_mut() else { return false };
-        let mut emitted_any = false;
-        while let Ok(r) = pipe.rx.try_recv() {
-            pipe.in_flight -= 1;
-            pipe.pending.insert(r.index, r);
-        }
-        while let Some(mut r) = pipe.pending.remove(&pipe.next_emit) {
-            pipe.next_emit += 1;
-            emitted_any = true;
-            if r.failed {
-                // Settle the backlog gauge, then let pump_owned's panic
-                // isolation drop the session: emitting a truncated
-                // violation sequence would be worse than losing the
-                // session.
-                shared.epoch_backlog.sub(pipe.backlog);
-                pipe.backlog = 0;
-                panic!("epoch job {} failed (lifeguard panic)", r.index);
-            }
-            let emitted: i64 = r.records.iter().map(|b| b.len() as i64).sum();
-            pipe.backlog -= emitted;
-            shared.epoch_backlog.sub(emitted);
-            // Attribute record ids against the epoch's batches before
-            // they recycle (the job echoed its first global sequence).
-            let ids: Vec<Option<RecordId>> = r
-                .violations
-                .iter()
-                .map(|v| {
-                    attribute_violation(v, &r.records, r.first_record, self.tenant_hash, self.trace)
-                })
-                .collect();
-            for batch in r.records.drain(..) {
-                self.consumer.recycle(batch);
-            }
-            if r.violations.is_empty() {
-                continue;
-            }
-            stats.violations.add(r.violations.len() as u64);
-            if shared.stream_taken.load(Ordering::Relaxed) {
-                for (v, id) in r.violations.iter().zip(&ids) {
-                    let _ = shared.violations_tx.send(PoolViolation {
-                        session: self.id,
-                        tenant: self.name.clone(),
-                        lifeguard: self.lifeguard_kind,
-                        record: *id,
-                        violation: *v,
-                    });
-                }
-            }
-            for (v, id) in r.violations.iter().zip(&ids) {
-                shared.metrics.events().record(EventKind::Violation {
-                    session: self.id,
-                    tenant: self.name.clone(),
-                    detail: v.to_string(),
-                    record: *id,
-                    spans: Vec::new(),
-                });
-            }
-            self.violations.extend(r.violations);
-            self.violation_records.extend(ids);
-        }
-        emitted_any
-    }
-
-    /// The plain (non-pipelined) batch-grain hot path.
+    /// Processes up to `max_batches` buffered batches through the
+    /// batch-grain hot path; returns how many it pumped. `stats` is the
+    /// pumping worker's stripe-sharded counter clone; `worker`/`ring` are
+    /// the pumping worker's index and its flight-recorder ring.
     fn pump_plain(
         &mut self,
         max_batches: usize,
@@ -1505,19 +1011,11 @@ impl ActiveSession {
     }
 
     fn finished(&self) -> bool {
-        // A pipelined session still owes its in-flight epochs' violations;
-        // it finalizes only after the drain path exited the pipeline.
-        self.consumer.is_drained() && self.pipe.is_none()
+        self.consumer.is_drained()
     }
 
     fn finalize(mut self, stats: &PoolStats, shared: &PoolShared) {
         let events = shared.metrics.events();
-        // Termination can finalize a still-pipelined session (shutdown
-        // terminates; in-flight epochs are abandoned): settle the gauges.
-        if let Some(pipe) = self.pipe.take() {
-            shared.pipeline_active.sub(1);
-            shared.epoch_backlog.sub(pipe.backlog);
-        }
         // Flush any violations reported after the last pump (none today,
         // but harmless and future-proof against buffering handlers).
         self.violations.extend(self.lifeguard.take_violations());
@@ -1552,12 +1050,6 @@ impl ActiveSession {
 /// (fairness bound).
 const BATCHES_PER_TURN: usize = 4;
 
-/// Consecutive pump turns a session's log channel must be at least half
-/// full before [`PipelineMode::Auto`] switches it to the pipelined path —
-/// long enough that one bursty chunk train does not pay the snapshot cost,
-/// short enough that a genuinely hot tenant pipelines within a few turns.
-const HOT_TURNS_TO_PIPELINE: u32 = 3;
-
 /// How long an idle worker parks before re-polling anyway. Every
 /// producer-side state change rings the doorbell, so this is only a safety
 /// net and can be generous without adding latency.
@@ -1568,18 +1060,8 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(25);
 /// without a futex round trip per batch; genuinely idle workers still park.
 const SPIN_PASSES: u32 = 8;
 
-/// Per-worker staging buffers for epoch jobs, allocated once per worker
-/// thread and reused across every job it serves (ROADMAP batch-path
-/// follow-on: no per-job `CostSink`/`EventBuf` reallocation).
-#[derive(Default)]
-struct EpochScratch {
-    cost: CostSink,
-    events: EventBuf,
-}
-
 fn worker_main(idx: usize, shared: Arc<PoolShared>) {
     let mut idle_passes = 0u32;
-    let mut scratch = EpochScratch::default();
     // This worker's counter clone: every handle claims its own stripe, so
     // the hot-path increments below never share a cache line with another
     // worker's.
@@ -1591,18 +1073,6 @@ fn worker_main(idx: usize, shared: Arc<PoolShared>) {
         let seen = shared.doorbells[idx].epoch();
         let terminating = shared.shutdown.load(Ordering::Acquire);
         let mut progress = false;
-
-        // At most one epoch job per pass, so a deep injector queue cannot
-        // starve resident session traffic. The atomic mirror keeps the
-        // injector lock off the session hot path.
-        if shared.epoch_pending.load(Ordering::SeqCst) > 0 {
-            let job = shared.epoch_jobs.lock().unwrap().pop_front();
-            if let Some(job) = job {
-                shared.epoch_pending.fetch_sub(1, Ordering::SeqCst);
-                run_epoch_job_guarded(job, &stats, &shared, idx, ring, &mut scratch);
-                progress = true;
-            }
-        }
 
         // One rotation over this worker's resident sessions. Each session
         // is popped for the duration of its pump — a checked-out session is
@@ -1628,10 +1098,7 @@ fn worker_main(idx: usize, shared: Arc<PoolShared>) {
             }
         }
 
-        if terminating
-            && shared.shards[idx].resident() == 0
-            && shared.epoch_pending.load(Ordering::SeqCst) == 0
-        {
+        if terminating && shared.shards[idx].resident() == 0 {
             return;
         }
         if progress {
@@ -1666,7 +1133,7 @@ fn pump_owned(
     // Panic isolation: one tenant's handler panicking must not take down
     // the other sessions of the pool.
     let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        session.pump(BATCHES_PER_TURN, shared, stats, idx, ring)
+        session.pump_plain(BATCHES_PER_TURN, shared, stats, idx, ring)
     }));
     match pumped {
         Ok(n) => {
@@ -1708,43 +1175,6 @@ fn steal(idx: usize, shared: &PoolShared) -> Option<(ActiveSession, usize)> {
     None
 }
 
-/// Runs an epoch job, containing panics to the job: a panicking handler
-/// reports an explicit failed [`EpochResult`], which the epoch driver
-/// surfaces instead of emitting a truncated violation set.
-fn run_epoch_job_guarded(
-    job: EpochJob,
-    stats: &PoolStats,
-    shared: &PoolShared,
-    worker: usize,
-    ring: usize,
-    scratch: &mut EpochScratch,
-) {
-    let index = job.index;
-    let done = job.done.clone();
-    let pipelined = job.pipelined.clone();
-    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_epoch_job(job, stats, shared, worker, ring, scratch)
-    }))
-    .is_err()
-    {
-        eprintln!("igm-runtime: lifeguard panicked in epoch job {index}; epoch dropped");
-        // The scratch buffers only ever hold plain values (no invariants
-        // to restore); clear them so the next job starts clean.
-        scratch.cost.clear();
-        let _ = done.send(EpochResult {
-            index,
-            violations: Vec::new(),
-            first_record: 0,
-            delivered: 0,
-            records: Vec::new(),
-            failed: true,
-        });
-        if let Some(home) = &pipelined {
-            shared.ring_worker(home.load(Ordering::Relaxed));
-        }
-    }
-}
-
 /// Attributes a violation to a global record id: the first record across
 /// `batches` (starting at global sequence `base`) whose pc matches the
 /// violation's. Best-effort by design — a violation without a pc (leak)
@@ -1767,95 +1197,4 @@ fn attribute_violation(
         offset += b.len() as u64;
     }
     None
-}
-
-/// The shared batched pump: one columnar dispatch pass and one handler
-/// pass over `records`, staging buffers reused, cost cleared per call.
-/// Epoch jobs sweep their batches through here and shrink the worker's
-/// staging retention afterwards ([`run_epoch_job`]).
-pub(crate) fn pump_records(
-    pipeline: &mut DispatchPipeline,
-    lifeguard: &mut AnyLifeguard,
-    cost: &mut CostSink,
-    events: &mut EventBuf,
-    records: &TraceBatch,
-) {
-    pipeline.dispatch_batch(records, events);
-    cost.clear();
-    lifeguard.handle_batch(events.events(), cost);
-}
-
-/// Event-buffer capacity an epoch worker keeps between jobs. An epoch is
-/// dispatched in one whole-batch column sweep, so the staging buffer
-/// reaches epoch grain — a few events per record. The bound is sized so a
-/// default-budget epoch ([`crate::epoch::DEFAULT_EPOCH_RECORDS`] records)
-/// always fits and its capacity is reused job after job with no
-/// shrink/regrow churn; only the outsized epochs of an adaptive run near
-/// its `max` budget trigger a shrink, so one outlier does not pin
-/// megabytes per worker for the worker's lifetime.
-const EPOCH_SCRATCH_RETAIN_EVENTS: usize = 4 * crate::epoch::DEFAULT_EPOCH_RECORDS;
-/// Record-boundary capacity retained alongside (one slot per record).
-const EPOCH_SCRATCH_RETAIN_RECORDS: usize = 2 * crate::epoch::DEFAULT_EPOCH_RECORDS;
-
-fn run_epoch_job(
-    mut job: EpochJob,
-    stats: &PoolStats,
-    shared: &PoolShared,
-    worker: usize,
-    ring: usize,
-    scratch: &mut EpochScratch,
-) {
-    // Epoch jobs carry no producer frame tag, so sampled jobs chain
-    // under the pool's epoch flow, keyed by job index.
-    let span = match (&shared.recorder, &shared.epoch_span) {
-        (Some(rec), Some(es)) if es.sampler.sample() => {
-            Some((rec, FrameTag { flow: es.flow, seq: job.index as u64 }, rec.now()))
-        }
-        _ => None,
-    };
-    // Staging buffers come from the worker's persistent scratch — one
-    // allocation per worker lifetime in steady state. Replaying batch by
-    // batch (instead of one concatenated sweep) keeps handler semantics
-    // identical to the spine's per-batch passes; pipeline state carries
-    // across the calls exactly as it did on the live spine.
-    let t0 = shared.epoch_hist.start();
-    for records in &job.records {
-        pump_records(
-            &mut job.pipeline,
-            &mut job.lifeguard,
-            &mut scratch.cost,
-            &mut scratch.events,
-            records,
-        );
-    }
-    shared.epoch_hist.stop(t0);
-    if let Some((rec, tag, t_start)) = span {
-        let done = rec.now();
-        rec.record(ring, Stage::EpochJob, Track::Worker(worker as u32), tag, t_start, done);
-        shared.span_hists.epoch_job.record(done.saturating_sub(t_start));
-    }
-    if scratch.events.capacity() > EPOCH_SCRATCH_RETAIN_EVENTS {
-        scratch.events.shrink_to(EPOCH_SCRATCH_RETAIN_EVENTS, EPOCH_SCRATCH_RETAIN_RECORDS);
-    }
-    let violations = job.lifeguard.take_violations();
-    // Pipelined jobs re-run records the session's live spine already
-    // accounted; only standalone epoch-driver jobs add to the pool totals.
-    if job.pipelined.is_none() {
-        stats.records.add(job.records.iter().map(|b| b.len() as u64).sum());
-        stats.events_delivered.add(job.pipeline.stats().delivered);
-        stats.violations.add(violations.len() as u64);
-    }
-    stats.epoch_jobs.inc();
-    let delivered = job.pipeline.stats().delivered;
-    let _ = job.done.send(EpochResult {
-        index: job.index,
-        violations,
-        first_record: job.first_record,
-        delivered,
-        records: job.records,
-        failed: false,
-    });
-    if let Some(home) = &job.pipelined {
-        shared.ring_worker(home.load(Ordering::Relaxed));
-    }
 }

@@ -25,7 +25,6 @@ pub struct PoolStats {
     pub(crate) violations: Counter,
     pub(crate) sessions_opened: Counter,
     pub(crate) sessions_closed: Counter,
-    pub(crate) epoch_jobs: Counter,
     pub(crate) steals: Counter,
     pub(crate) parks: Counter,
     started: Instant,
@@ -38,7 +37,7 @@ impl PoolStats {
     pub(crate) fn new(registry: &MetricsRegistry) -> PoolStats {
         PoolStats {
             records: registry
-                .counter("igm_pool_records_total", "records processed across sessions and epochs"),
+                .counter("igm_pool_records_total", "records processed across sessions"),
             events_delivered: registry.counter(
                 "igm_pool_events_delivered_total",
                 "events delivered to lifeguard handlers",
@@ -48,7 +47,6 @@ impl PoolStats {
                 .counter("igm_pool_sessions_opened_total", "sessions ever opened"),
             sessions_closed: registry
                 .counter("igm_pool_sessions_closed_total", "sessions finalized"),
-            epoch_jobs: registry.counter("igm_pool_epoch_jobs_total", "epoch jobs executed"),
             steals: registry
                 .counter("igm_pool_steals_total", "sessions migrated by the stealing scheduler"),
             parks: registry.counter("igm_pool_parks_total", "times an idle worker parked"),
@@ -69,7 +67,7 @@ impl PoolStats {
             violations: self.violations.value(),
             sessions_opened: self.sessions_opened.value(),
             sessions_closed: self.sessions_closed.value(),
-            epoch_jobs: self.epoch_jobs.value(),
+            epoch_jobs: 0,
             steals: self.steals.value(),
             parks: self.parks.value(),
             uptime: self.started.elapsed(),
@@ -80,10 +78,10 @@ impl PoolStats {
 /// A point-in-time view of a pool's aggregate counters.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolStatsSnapshot {
-    /// Records processed across all sessions and epoch jobs.
+    /// Records processed across all sessions.
     pub records: u64,
-    /// Events delivered to lifeguard handlers (finalized sessions and epoch
-    /// jobs; open sessions contribute on close).
+    /// Events delivered to lifeguard handlers (finalized sessions; open
+    /// sessions contribute on close).
     pub events_delivered: u64,
     /// Violations reported.
     pub violations: u64,
@@ -91,7 +89,9 @@ pub struct PoolStatsSnapshot {
     pub sessions_opened: u64,
     /// Sessions finalized.
     pub sessions_closed: u64,
-    /// Epoch jobs executed.
+    /// Always `0`: the pool no longer splits a session into epoch jobs.
+    /// The field stays so existing readers of the snapshot keep
+    /// compiling.
     pub epoch_jobs: u64,
     /// Sessions migrated between workers by the work-stealing scheduler
     /// (each steal transfers the session's pending batches *and* its shadow

@@ -1,7 +1,6 @@
 //! Scheduling properties of the work-stealing pool: session migration
 //! between workers must be invisible in the results. For every
-//! epoch-supporting lifeguard, the pool's per-session violation sequences
-//! must equal a sequential monitor's over the same traces, across
+//! lifeguard, the pool's per-session violation sequences must equal a sequential monitor's over the same traces, across
 //! randomized worker counts, chunk sizes and tenant/chunk interleavings —
 //! and an idle worker must actually steal from a loaded one.
 
@@ -11,13 +10,6 @@ use igm_lba::EventBuf;
 use igm_lifeguards::{CostSink, Lifeguard, LifeguardKind, Violation};
 use igm_runtime::{MonitorPool, PoolConfig, SessionConfig};
 use proptest::prelude::*;
-
-/// Every lifeguard: epoch jobs replay the full event stream from the
-/// boundary snapshot, so all five check in parallel with sequential
-/// results.
-fn epoch_supporting() -> impl Iterator<Item = LifeguardKind> {
-    LifeguardKind::ALL.into_iter()
-}
 
 /// A trace for `kind` with violations planted every `stride` records at
 /// predictable offsets, amid benign filler.
@@ -89,8 +81,8 @@ fn sequential_violations(kind: LifeguardKind, trace: &[TraceEntry]) -> Vec<Viola
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Pool violations == sequential violations for every epoch-supporting
-    /// lifeguard, under randomized worker counts, per-send chunk sizes and
+    /// Pool violations == sequential violations for every lifeguard,
+    /// under randomized worker counts, per-send chunk sizes and
     /// cross-tenant chunk interleavings.
     #[test]
     fn pool_matches_sequential_monitor(
@@ -101,7 +93,7 @@ proptest! {
         chunk_records in 1usize..48,
         seed in 1u32..1000,
     ) {
-        for kind in epoch_supporting() {
+        for kind in LifeguardKind::ALL {
             let traces: Vec<Vec<TraceEntry>> = (0..tenants)
                 .map(|t| planted_trace(kind, n + 31 * t, stride, seed + t as u32))
                 .collect();

@@ -4,7 +4,7 @@
 //! average*; this crate answers *where one frame went*: a sampled span
 //! layer that follows a single trace frame through the whole pipeline —
 //! client send → credit stall → server ingest → channel wait → dispatch →
-//! (epoch job) → violation — as a chain of fixed-size stage records
+//! violation — as a chain of fixed-size stage records
 //! written into a lock-free [`FlightRecorder`].
 //!
 //! ## Model
@@ -88,21 +88,21 @@ pub enum Stage {
     ChannelWait = 3,
     /// The batch ran through `dispatch_batch` + lifeguard handlers.
     Dispatch = 4,
-    /// An epoch-parallel job processed (part of) the frame's records.
-    EpochJob = 5,
     /// A lifeguard raised a violation while handling the frame.
+    ///
+    /// Code 5 belonged to a retired stage and stays unused: stage codes
+    /// are never renumbered.
     Violation = 6,
 }
 
 impl Stage {
     /// Every stage, in causal order.
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 6] = [
         Stage::ClientSend,
         Stage::CreditStall,
         Stage::ServerIngest,
         Stage::ChannelWait,
         Stage::Dispatch,
-        Stage::EpochJob,
         Stage::Violation,
     ];
 
@@ -114,7 +114,6 @@ impl Stage {
             Stage::ServerIngest => "server_ingest",
             Stage::ChannelWait => "channel_wait",
             Stage::Dispatch => "dispatch",
-            Stage::EpochJob => "epoch_job",
             Stage::Violation => "violation",
         }
     }

@@ -5,8 +5,7 @@
 //!
 //! The values below are the calibration points of the reproduction (the
 //! paper gives Table 2's cache/memory latencies; the dispatch-engine and
-//! wrapper costs are modelling choices documented here and in
-//! `EXPERIMENTS.md`).
+//! wrapper costs are modelling choices documented here).
 
 /// Ticks per clock cycle.
 pub const TICKS_PER_CYCLE: u64 = 4;

@@ -26,10 +26,8 @@
 //!   software analogue of the LBA log-transport fabric at service scale.
 //!   Bounded SPSC log channels (chunked record batches, backpressure,
 //!   producer-stall accounting), a [`runtime::MonitorPool`] of sharded
-//!   lifeguard workers serving N concurrent tenant applications, and
-//!   epoch-chunked parallel checking of a single hot trace with a
-//!   sequential fallback for lifeguards whose metadata does not commute
-//!   (per-lifeguard capability masking, mirroring the paper's Figure 2).
+//!   lifeguard workers serving N concurrent tenant applications, one
+//!   session per worker at a time with whole-session work stealing.
 //! * [`trace`] — the monitored-event stream as a durable artifact: a
 //!   compact binary codec (varint + delta-coded PCs/addresses, framed and
 //!   checksummed chunks), capture/replay of live pool sessions
@@ -56,7 +54,7 @@
 //!   ([`runtime::MonitorPool::serve_stats`]).
 //! * [`span`] — end-to-end frame provenance: a sampled span layer that
 //!   follows one trace frame through client send → credit stall → server
-//!   ingest → channel wait → dispatch → epoch job → violation as stage
+//!   ingest → channel wait → dispatch → violation as stage
 //!   records in a lock-free [`span::FlightRecorder`] (fixed-size seqlock
 //!   rings, overwrite-oldest, zero-alloc on the hot path), surfaced as
 //!   `/spans.json`, a Chrome trace-event `/trace` export, per-stage

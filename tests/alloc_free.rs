@@ -12,31 +12,52 @@ use igm::accel::{AccelConfig, DispatchPipeline, ItConfig};
 use igm::isa::{MemRef, OpClass, Reg, TraceEntry};
 use igm::lba::{EventBuf, TraceBatch};
 use igm::lifeguards::{CostSink, Lifeguard, LifeguardKind};
-use igm::runtime::{EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig};
+use igm::runtime::{MonitorPool, PoolConfig, SessionConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// The two tests below share one process-wide allocation counter, so they
-/// must not run concurrently (each would observe the other's allocations).
+/// The pool test reads the process-wide allocation counter, so no other
+/// test may run while it measures (it would observe their allocations).
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Counts every allocation-path entry (alloc, alloc_zeroed, realloc).
 struct CountingAllocator;
 
+/// Allocations on every thread: what the threaded pool test bounds.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Allocations on the current thread: what the single-threaded
+    /// zero-allocation tests assert on. The test harness allocates on its
+    /// own threads (collecting a finished test's output, spawning the
+    /// next), so a process-wide count would charge those to whichever
+    /// test happens to be measuring.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -100,11 +121,11 @@ fn steady_state_columnar_dispatch_allocates_nothing() {
 
             // Measured steady-state pass: the whole batch through the
             // column sweeps → IT → ETCT → IF → handlers, zero allocations.
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let before = thread_allocations();
             pipeline.dispatch_batch(&batch, &mut events);
             cost.clear();
             lifeguard.handle_batch(events.events(), &mut cost);
-            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            let after = thread_allocations();
             assert_eq!(
                 after - before,
                 0,
@@ -145,7 +166,7 @@ fn steady_state_batch_build_and_aos_dispatch_allocate_nothing() {
         lifeguard.handle_batch(events.events(), &mut cost);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     batch.clear();
     batch.extend_entries(entries.iter().copied());
     pipeline.dispatch_batch(&batch, &mut events);
@@ -154,53 +175,62 @@ fn steady_state_batch_build_and_aos_dispatch_allocate_nothing() {
     pipeline.dispatch_batch_entries(&entries, &mut events);
     cost.clear();
     lifeguard.handle_batch(events.events(), &mut cost);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(after - before, 0, "batch refill + AoS dispatch must be allocation-free");
 }
 
-/// Intra-session epoch pipelining keeps the arena discipline end to end:
-/// every `TraceBatch` a pipelined epoch job drains rides back through its
-/// `EpochResult` into the session channel's spare pool, so the producer
-/// refills recycled arenas instead of building fresh ones. A threaded
-/// pool run cannot be literally zero-alloc (epoch jobs, mpsc nodes and
-/// violation vectors allocate per *epoch*), but it must amortize: after
-/// a warm-up stretch, streaming another `N` records through the
-/// always-pipelined path has to cost well under one allocation per
-/// record — without recycling, rebuilding each batch's column arenas
-/// alone would blow through that bound.
+/// The pool keeps the arena discipline end to end: every `TraceBatch` a
+/// worker drains rides back through the session channel's spare pool, so
+/// a producer that fills [`SessionHandle::spare_batch`] arenas refills
+/// recycled column capacity instead of building fresh batches. A threaded
+/// pool run is not held to zero allocations (its scheduling bookkeeping,
+/// such as the lifecycle event ring, is not audited here), but it must
+/// amortize: after a warm-up stretch, streaming another `N` records
+/// through two workers has to cost well under one allocation per record —
+/// without recycling, rebuilding each batch's column arenas alone would
+/// blow through that bound.
+///
+/// [`SessionHandle::spare_batch`]: igm::runtime::SessionHandle::spare_batch
 #[test]
-fn pipelined_epochs_recycle_batch_arenas() {
+fn pool_recycles_batch_arenas() {
     let _serial = SERIAL.lock().unwrap();
     let entries = steady_batch(256);
+    // A channel four batches deep, as the default 64 KiB channel is at
+    // the default 16 KiB chunk size. The spare pool parks at most eight
+    // drained arenas, so a producer allowed to run dozens of batches ahead
+    // would outgrow it and build fresh ones whatever the recycling.
+    let batch_bytes = TraceBatch::from_entries(&entries).compressed_bytes();
     let pool = MonitorPool::new(PoolConfig {
-        workers: 2,
-        pipeline: PipelineMode::Always,
-        epoch: EpochConfig::Fixed(1_024),
-        ..PoolConfig::default()
+        channel_capacity_bytes: 4 * batch_bytes,
+        ..PoolConfig::with_workers(2)
     });
     let session = pool.open_session(
         SessionConfig::new("hot", LifeguardKind::AddrCheck).premark(&[(HEAP, 0x1000)]),
     );
+    let send = || {
+        let mut batch = session.spare_batch();
+        batch.extend_entries(entries.iter().copied());
+        session.send_batch(batch).unwrap();
+    };
 
-    // Warm-up: circulate enough arenas for the channel, the epoch
-    // accumulator and the in-flight jobs, and settle column capacities.
+    // Warm-up: circulate enough arenas to fill the channel and settle
+    // column capacities.
     for _ in 0..64 {
-        session.send_batch(entries.clone()).unwrap();
+        send();
     }
     let chunks = 256u64;
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..chunks {
-        session.send_batch(entries.clone()).unwrap();
+        send();
     }
     let report = session.finish();
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert!(report.violations.is_empty(), "steady batch must be clean");
-    assert!(pool.stats().epoch_jobs > 0, "the pipelined path must actually ship epochs");
     let allocs = after - before;
     let records = chunks * entries.len() as u64;
     assert!(
         allocs < records / 8,
-        "pipelined steady state allocated {allocs} times for {records} records — \
+        "pool steady state allocated {allocs} times for {records} records — \
          drained arenas are not being recycled"
     );
     pool.shutdown();
@@ -243,7 +273,7 @@ fn instrumented_dispatch_stays_allocation_free() {
         lifeguard.handle_batch(events.events(), &mut cost);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     occupancy.add(batch.len() as i64);
     let queued = queue.start();
     // The span hot path: one sampling branch, then stage records into the
@@ -270,7 +300,7 @@ fn instrumented_dispatch_stays_allocation_free() {
     records.add(batch.len() as u64);
     occupancy.sub(batch.len() as i64);
     queue.record(37);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,

@@ -1,6 +1,6 @@
 //! Shape-level checks of the paper's experimental claims, at reduced scale
-//! (the full-scale numbers are produced by the `igm-bench` binaries and
-//! recorded in `EXPERIMENTS.md`).
+//! (the full-scale numbers are produced by the `igm-bench` figure
+//! binaries; see the README's Benches section).
 
 use igm::accel::{AccelConfig, IfGeometry, ItConfig};
 use igm::lifeguards::LifeguardKind;

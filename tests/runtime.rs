@@ -1,138 +1,10 @@
-//! Acceptance tests for the streaming runtime: epoch-parallel monitoring is
-//! *exact* (identical violation sequences to the sequential `Monitor`) for
-//! every lifeguard — including the ones whose metadata does not commute
-//! with check elision, which replay the full event stream per epoch — and
-//! the multi-tenant pool serves concurrent benchmark sessions end to end.
+//! Acceptance test for the streaming runtime: the multi-tenant pool
+//! serves concurrent benchmark sessions end to end. (The pool's agreement
+//! with the sequential `Monitor` is pinned in `pipeline_determinism.rs`.)
 
-use igm::accel::AccelConfig;
-use igm::isa::{Annotation, CtrlOp, JumpTarget, MemRef, OpClass, Reg, TraceEntry};
-use igm::lifeguards::{Lifeguard, LifeguardKind, TaintCheck};
-use igm::runtime::{monitor_epoch_parallel, MonitorPool, PoolConfig, SessionConfig};
-use igm::sim::{Monitor, SimConfig, Simulator};
+use igm::lifeguards::LifeguardKind;
+use igm::sim::{SimConfig, Simulator};
 use igm::workload::Benchmark;
-
-/// A benchmark trace with taint-violation patterns planted at irregular
-/// offsets (several of which straddle epoch boundaries for any power-of-two
-/// epoch size): read untrusted input, load it, jump through it.
-fn tainted_trace(n: u64) -> Vec<TraceEntry> {
-    let mut trace: Vec<TraceEntry> = Benchmark::Gcc.trace(n).collect();
-    let mut at = 977usize; // prime stride, so patterns cross epoch cuts
-    let mut k = 0u32;
-    while at + 3 < trace.len() {
-        let buf = 0xa000_0000 + k * 0x40;
-        trace.insert(
-            at,
-            TraceEntry::annot(0x7000_0000 + k, Annotation::ReadInput { base: buf, len: 4 }),
-        );
-        trace.insert(
-            at + 1,
-            TraceEntry::op(
-                0x7000_0010 + k,
-                OpClass::MemToReg { src: MemRef::word(buf), rd: Reg::Eax },
-            ),
-        );
-        trace.insert(
-            at + 2,
-            TraceEntry::ctrl(
-                0x7000_0020 + k,
-                CtrlOp::Indirect { target: JumpTarget::Reg(Reg::Eax) },
-            ),
-        );
-        at += 977;
-        k += 1;
-    }
-    trace
-}
-
-#[test]
-fn epoch_parallel_taintcheck_matches_sequential_monitor() {
-    let trace = tainted_trace(30_000);
-    let accel = AccelConfig::baseline();
-
-    // Sequential reference: the ordinary Monitor over the same trace.
-    let mut seq = Monitor::new(TaintCheck::new(&accel), &accel);
-    seq.observe_all(trace.iter().copied());
-    let seq_violations = seq.lifeguard_mut().take_violations();
-    assert!(
-        seq_violations.len() >= 20,
-        "planted patterns must fire (got {})",
-        seq_violations.len()
-    );
-
-    let pool = MonitorPool::new(PoolConfig::with_workers(4));
-    // An epoch size that does not divide the trace evenly, so the tail
-    // epoch is short and the planted patterns straddle cuts.
-    for epoch_records in [1_000, 4_096] {
-        let report = monitor_epoch_parallel(
-            &pool,
-            &SessionConfig::new("hot-app", LifeguardKind::TaintCheck),
-            trace.iter().copied(),
-            epoch_records,
-        );
-        assert_eq!(report.records, trace.len() as u64);
-        assert_eq!(report.epochs, trace.len().div_ceil(epoch_records));
-        assert_eq!(
-            report.violations, seq_violations,
-            "epoch-parallel (epoch={epoch_records}) must equal sequential order and content"
-        );
-    }
-
-    // Adaptive epoch sizing re-budgets every epoch from observed check
-    // density; whatever cuts it picks, the merged result must still equal
-    // the sequential reference exactly.
-    let report = igm::runtime::monitor_epoch_parallel_with(
-        &pool,
-        &SessionConfig::new("hot-app-adaptive", LifeguardKind::TaintCheck),
-        trace.iter().copied(),
-        igm::runtime::EpochConfig::Adaptive {
-            initial: 1_000,
-            min: 500,
-            max: 8_192,
-            target_checks: 2_000,
-        },
-    );
-    assert_eq!(report.records, trace.len() as u64);
-    assert!(report.epochs >= trace.len() / 8_192, "adaptive epochs must cover the trace");
-    assert_eq!(report.violations, seq_violations, "adaptive sizing must not change results");
-    pool.shutdown();
-}
-
-#[test]
-fn non_commuting_lifeguards_run_parallel_and_match_sequential() {
-    // MemCheck's loads mutate metadata (cascade suppression), so its
-    // checks cannot be elided-and-replayed piecemeal — each epoch job
-    // replays the full event stream from its boundary snapshot instead.
-    // Tiny epochs (2 records) force many cuts right through the
-    // store/load dependences; the merged result must still be exact.
-    let trace: Vec<TraceEntry> = {
-        let mut t = vec![TraceEntry::annot(0x10, Annotation::Malloc { base: 0x9000, size: 64 })];
-        // A store then loads; one load of never-allocated memory.
-        t.push(TraceEntry::op(0x14, OpClass::ImmToMem { dst: MemRef::word(0x9000) }));
-        t.push(TraceEntry::op(0x18, OpClass::MemToReg { src: MemRef::word(0x9000), rd: Reg::Eax }));
-        t.push(TraceEntry::op(0x1c, OpClass::MemToReg { src: MemRef::word(0x9020), rd: Reg::Ecx }));
-        t.push(TraceEntry::op(
-            0x20,
-            OpClass::MemToReg { src: MemRef::word(0xdead_0000), rd: Reg::Edx },
-        ));
-        t
-    };
-    let accel = AccelConfig::baseline();
-    let mut seq = Monitor::new(igm::lifeguards::MemCheck::new(&accel), &accel);
-    seq.observe_all(trace.iter().copied());
-    let seq_violations = seq.lifeguard_mut().take_violations();
-    assert!(!seq_violations.is_empty(), "the unwritten load must fire");
-
-    let pool = MonitorPool::new(PoolConfig::with_workers(2));
-    let report = monitor_epoch_parallel(
-        &pool,
-        &SessionConfig::new("memcheck-app", LifeguardKind::MemCheck),
-        trace.iter().copied(),
-        2,
-    );
-    assert_eq!(report.epochs, 3);
-    assert_eq!(report.violations, seq_violations);
-    pool.shutdown();
-}
 
 #[test]
 fn run_concurrent_serves_four_tenants() {
@@ -156,21 +28,4 @@ fn run_concurrent_serves_four_tenants() {
         );
         assert!(r.records_per_sec() > 0.0);
     }
-}
-
-#[test]
-fn epoch_parallel_is_clean_on_clean_workloads() {
-    // No planted taint: both paths must agree on "nothing to report".
-    let pool = MonitorPool::new(PoolConfig::with_workers(4));
-    let report = monitor_epoch_parallel(
-        &pool,
-        &SessionConfig::new("clean", LifeguardKind::AddrCheck)
-            .synthetic()
-            .premark(&Benchmark::Crafty.profile().premark_regions()),
-        Benchmark::Crafty.trace(20_000),
-        4_096,
-    );
-    assert_eq!(report.records, 20_000);
-    assert!(report.violations.is_empty(), "{:?}", report.violations.first());
-    pool.shutdown();
 }
