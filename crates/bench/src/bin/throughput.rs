@@ -611,16 +611,16 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Codec density + speed: the predicted codec's bytes/record per
-    // tenant against the legacy delta codec, the in-memory representation
-    // and the paper's compressed-size model, plus single-thread
-    // encode/decode throughput over pre-chunked batches.
+    // Codec density + speed: the codec's bytes/record per tenant against
+    // the in-memory representation and the paper's compressed-size
+    // model, plus single-thread encode/decode throughput over
+    // pre-chunked batches.
     // ------------------------------------------------------------------
     let in_memory = std::mem::size_of::<igm_isa::TraceEntry>() as f64;
     println!("\ncodec density ({n} records/tenant, {in_memory} B/record in memory)\n");
     println!(
-        "{:<10} {:>12} {:>12} {:>10} {:>12} {:>12}",
-        "tenant", "bytes/rec", "delta B/rec", "model", "enc Mrec/s", "dec Mrec/s"
+        "{:<10} {:>12} {:>10} {:>12} {:>12}",
+        "tenant", "bytes/rec", "model", "enc Mrec/s", "dec Mrec/s"
     );
     let mut codec_entries = Vec::new();
     for bench in TENANTS {
@@ -633,18 +633,15 @@ fn main() {
         while chunker.next_into_batch(&mut b) {
             batches.push(std::mem::take(&mut b));
         }
-        let encode = |mk: fn(Vec<u8>) -> std::io::Result<TraceWriter<Vec<u8>>>| {
-            let mut w = mk(Vec::new()).expect("in-memory encode cannot fail");
-            for batch in &batches {
-                w.write_chunk_batch(batch).unwrap();
-            }
-            w.finish().unwrap()
-        };
         let mut encoded = Vec::new();
         let mut enc_runs = Vec::new();
         for _ in 0..reps {
             let start = Instant::now();
-            encoded = encode(TraceWriter::new);
+            let mut w = TraceWriter::new(Vec::new()).expect("in-memory encode cannot fail");
+            for batch in &batches {
+                w.write_chunk_batch(batch).unwrap();
+            }
+            encoded = w.finish().unwrap();
             enc_runs.push(trace.len() as f64 / start.elapsed().as_secs_f64() / 1e6);
         }
         let mut dec_runs = Vec::new();
@@ -664,7 +661,6 @@ fn main() {
         let enc = enc_runs[(enc_runs.len() - 1) / 2];
         let dec = dec_runs[(dec_runs.len() - 1) / 2];
         let bpr = (encoded.len() - 8) as f64 / trace.len() as f64;
-        let delta_bpr = (encode(TraceWriter::new_v1).len() - 8) as f64 / trace.len() as f64;
         assert!(
             bpr < in_memory,
             "{bench}: encoded {bpr:.2} B/record must beat the {in_memory} B in-memory baseline"
@@ -675,23 +671,14 @@ fn main() {
         if trace.len() >= 16 * 1024 {
             assert!(bpr <= 2.0, "{bench}: the predicted codec must hold 2 B/record, got {bpr:.3}");
         }
-        println!(
-            "{:<10} {:>12.2} {:>12.2} {:>10.2} {:>12.1} {:>12.1}",
-            bench.name(),
-            bpr,
-            delta_bpr,
-            model,
-            enc,
-            dec
-        );
+        println!("{:<10} {:>12.2} {:>10.2} {:>12.1} {:>12.1}", bench.name(), bpr, model, enc, dec);
         codec_entries.push(format!(
             "    {{\"tenant\": \"{}\", \"bytes_per_record\": {:.3}, \
-             \"delta_bytes_per_record\": {:.3}, \"model_bytes_per_record\": {:.3}, \
+             \"model_bytes_per_record\": {:.3}, \
              \"in_memory_bytes_per_record\": {:.0}, \"encode_mrecs_per_sec\": {:.1}, \
              \"decode_mrecs_per_sec\": {:.1}}}",
             bench.name(),
             bpr,
-            delta_bpr,
             model,
             in_memory,
             enc,

@@ -69,7 +69,7 @@ pub struct LakeTrace {
     /// The loaded (or rebuilt) `IGMX` v2 posting index.
     pub index: TraceIndex,
     /// Whether the sidecar had to be rebuilt by an offline record scan
-    /// (missing, v1 directory-only, corrupt, or stale).
+    /// (missing, of another version, corrupt, or stale).
     pub rebuilt: bool,
 }
 
@@ -89,7 +89,7 @@ impl LakeTrace {
 /// A catalog over one directory of capture/tee artifacts.
 ///
 /// Opening the lake pairs every `<stem>.igmt` with its `<stem>.igmx`
-/// sidecar. A sidecar that is missing, directory-only (v1), corrupt, or
+/// sidecar. A sidecar that is missing, of another version, corrupt, or
 /// stale (its frame directory points past the end of the trace file) is
 /// rebuilt by [`TraceIndex::scan_records_file`] and saved back — the
 /// offline build is byte-identical to the writer-inline one, so a lake
@@ -121,9 +121,8 @@ impl TraceLake {
             };
             let trace_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             let sidecar = path.with_extension("igmx");
-            let loaded = TraceIndex::load_file(&sidecar)
-                .ok()
-                .filter(|i| i.has_postings() && index_fits(i, trace_bytes));
+            let loaded =
+                TraceIndex::load_file(&sidecar).ok().filter(|i| index_fits(i, trace_bytes));
             let (index, rebuilt) = match loaded {
                 Some(i) => (i, false),
                 None => match TraceIndex::scan_records_file(&path) {

@@ -163,7 +163,6 @@ pub fn execute(
     limit: usize,
     out: &mut LakeHits,
 ) {
-    debug_assert!(index.has_postings(), "lake traces always carry posting indexes");
     out.traces += 1;
     let mut acc = FrameSet::default();
     let mut scratch = FrameSet::default();

@@ -268,6 +268,15 @@ fn missing_or_damaged_sidecars_heal_byte_identically() {
     assert!(lake.traces()[0].rebuilt);
     assert_eq!(std::fs::read(&sidecar).unwrap(), original);
 
+    // A sidecar whose version word reads 1 (the retired directory-only
+    // format): refused on load, healed by the same rescan.
+    let mut v1 = original.clone();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&sidecar, &v1).unwrap();
+    let lake = TraceLake::open(&dir).unwrap();
+    assert!(lake.traces()[0].rebuilt);
+    assert_eq!(std::fs::read(&sidecar).unwrap(), original);
+
     // Intact sidecar: loaded as-is, not rebuilt.
     let lake = TraceLake::open(&dir).unwrap();
     assert!(!lake.traces()[0].rebuilt);

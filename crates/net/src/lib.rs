@@ -11,8 +11,9 @@
 //! [`MonitorPool`](igm_runtime::MonitorPool). Std-only (`std::net`), no
 //! new dependencies. Three pieces:
 //!
-//! * [`wire`] — the length-delimited message protocol. A handshake
-//!   (`HELLO`: magic, protocol version, tenant name, requested
+//! * [`wire`] — the length-delimited message protocol, one version
+//!   ([`NET_VERSION`]). A handshake (`HELLO`: magic, protocol version,
+//!   trace codec id, tenant name, requested
 //!   [`LifeguardKind`](igm_lifeguards::LifeguardKind) and accelerator
 //!   configuration, premarked regions), chunk messages carrying the
 //!   existing `igm-trace` codec **frames verbatim**, a clean-shutdown
@@ -52,7 +53,4 @@ pub mod wire;
 pub use client::{ForwarderConfig, ForwarderReport, ForwarderStats, TraceForwarder};
 pub use server::{IngestServer, NetServerConfig, NetServerReport};
 pub use source::NetSource;
-pub use wire::{
-    FinStats, NetError, MAX_MESSAGE_BYTES, NET_MAGIC, NET_VERSION, NET_VERSION_COMPAT,
-    SPAN_PREFIX_BYTES,
-};
+pub use wire::{FinStats, NetError, MAX_MESSAGE_BYTES, NET_MAGIC, NET_VERSION, SPAN_PREFIX_BYTES};

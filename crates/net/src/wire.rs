@@ -14,7 +14,7 @@
 //! |------|-----------|-----------------|---------|
 //! | 1    | `HELLO`   | client → server | magic `IGMN`, version `u32`, trace codec `u32`, tenant session spec (below) |
 //! | 2    | `WELCOME` | server → client | initial credit `u64` |
-//! | 3    | `CHUNK`   | client → server | *(v3)* 16-byte span prefix, then one `igm-trace` codec **frame, verbatim** (header + payload); *(v2)* the frame alone |
+//! | 3    | `CHUNK`   | client → server | 16-byte span prefix, then one `igm-trace` codec **frame, verbatim** (header + payload) |
 //! | 4    | `CREDIT`  | server → client | additional credit bytes granted, `u64` |
 //! | 5    | `FIN`     | client → server | final client lane stats: chunks, records, frame bytes, credit stalls (`u64` each) |
 //! | 6    | `FIN_ACK` | server → client | records the server ingested on this lane, `u64` |
@@ -25,10 +25,11 @@
 //! requested [`LifeguardKind`], accelerator configuration, synthetic-mode
 //! flag and premarked regions — so a server-side session reproduces the
 //! client's local configuration exactly (the loopback-equivalence
-//! guarantee rests on this). The trace codec field names the
-//! [`igm_trace::Codec`] every subsequent `CHUNK` frame on the lane will
-//! carry; a server that does not speak it refuses the handshake with a
-//! typed [`NetError::UnsupportedCodec`].
+//! guarantee rests on this). The version field must read [`NET_VERSION`]
+//! (anything else is refused with a typed [`NetError::VersionMismatch`])
+//! and the trace codec field must read [`igm_trace::CODEC_ID`], the codec
+//! every `CHUNK` frame carries (anything else is refused with a typed
+//! [`NetError::UnsupportedCodec`]).
 //!
 //! # Credit rules
 //!
@@ -44,10 +45,10 @@
 //! like the paper's bounded in-cache log buffer throttles the application
 //! core.
 //!
-//! # Span provenance (version 3)
+//! # Span provenance
 //!
-//! Version 3 prepends a fixed [`SPAN_PREFIX_BYTES`]-byte provenance
-//! prefix to every `CHUNK` payload:
+//! Every `CHUNK` payload opens with a fixed [`SPAN_PREFIX_BYTES`]-byte
+//! provenance prefix:
 //!
 //! ```text
 //! flags   u8      bit 0: this frame is span-sampled
@@ -61,19 +62,14 @@
 //! wire so the server-side stages (`server_ingest`, `channel_wait`,
 //! `dispatch`, …) chain under the same flow/seq as the client-side ones
 //! (`client_send`, `credit_stall`) — one causally-joined waterfall per
-//! frame. Version negotiation is server-side: a v3 server accepts
-//! [`NET_VERSION_COMPAT`]..=[`NET_VERSION`] `HELLO`s and treats a v2
-//! lane's chunks as bare frames; a v3 client refused by a v2 server (its
-//! `ERROR` names the version) retries the connection once speaking v2,
-//! with span stamping disabled. Credit accounts the *whole* chunk payload
-//! (prefix included), so both sides' byte ledgers agree under either
-//! version.
+//! frame. Credit accounts the *whole* chunk payload (prefix included), so
+//! both sides' byte ledgers agree.
 
 use igm_core::{AccelConfig, IfGeometry, ItConfig};
 use igm_lifeguards::LifeguardKind;
 use igm_runtime::SessionConfig;
 use igm_span::FrameTag;
-use igm_trace::{Codec, TraceError};
+use igm_trace::{TraceError, CODEC_ID};
 use std::fmt;
 use std::io::{self, Read};
 use std::ops::Range;
@@ -81,16 +77,11 @@ use std::ops::Range;
 /// The four magic bytes opening every `HELLO`.
 pub const NET_MAGIC: [u8; 4] = *b"IGMN";
 
-/// Current protocol version (version 2 added trace-codec negotiation to
-/// the `HELLO`; version 3 added the span-provenance prefix to `CHUNK`).
+/// The protocol version both sides speak, and the only one a `HELLO` may
+/// announce.
 pub const NET_VERSION: u32 = 3;
 
-/// Oldest protocol version this side still accepts in a `HELLO`. A v2
-/// lane simply carries no span prefix on its chunks; everything else is
-/// identical.
-pub const NET_VERSION_COMPAT: u32 = 2;
-
-/// Fixed length of the span-provenance prefix opening every v3 `CHUNK`
+/// Fixed length of the span-provenance prefix opening every `CHUNK`
 /// payload (flags `u8`, 3 pad bytes, flow `u32` LE, seq `u64` LE).
 pub const SPAN_PREFIX_BYTES: usize = 16;
 
@@ -99,7 +90,7 @@ pub const SPAN_PREFIX_BYTES: usize = 16;
 pub const MSG_HEADER_BYTES: usize = 5;
 
 /// Upper bound accepted for one message payload: the largest legal codec
-/// frame plus its frame header and the v3 span prefix. A corrupt length
+/// frame plus its frame header and the span prefix. A corrupt length
 /// field becomes a typed error instead of an allocation.
 pub const MAX_MESSAGE_BYTES: u32 = igm_trace::MAX_PAYLOAD_BYTES
     + igm_trace::FRAME_HEADER_BYTES_V2 as u32
@@ -149,8 +140,8 @@ pub enum NetError {
         /// The version the peer announced.
         theirs: u32,
     },
-    /// The peer's `HELLO` requested a trace codec this side cannot
-    /// decode.
+    /// The peer's `HELLO` named a trace codec other than
+    /// [`igm_trace::CODEC_ID`].
     UnsupportedCodec {
         /// The wire codec identifier the peer announced.
         theirs: u32,
@@ -173,14 +164,10 @@ impl fmt::Display for NetError {
             NetError::Io(e) => write!(f, "igm-net i/o error: {e}"),
             NetError::BadMagic => write!(f, "peer is not an igm-net endpoint (bad magic)"),
             NetError::VersionMismatch { theirs } => {
-                write!(
-                    f,
-                    "peer speaks protocol version {theirs} \
-                     (this side speaks {NET_VERSION_COMPAT} through {NET_VERSION})"
-                )
+                write!(f, "peer speaks protocol version {theirs} (this side speaks {NET_VERSION})")
             }
             NetError::UnsupportedCodec { theirs } => {
-                write!(f, "peer requested trace codec {theirs} (this side speaks codecs 1 and 2)")
+                write!(f, "peer requested trace codec {theirs} (this side speaks codec {CODEC_ID})")
             }
             NetError::Malformed(reason) => write!(f, "malformed message: {reason}"),
             NetError::Disconnected(when) => write!(f, "connection closed: {when}"),
@@ -276,7 +263,7 @@ fn lifeguard_from_code(code: u8) -> Option<LifeguardKind> {
 
 /// Encodes a complete `HELLO` message for `session`, under an explicit
 /// `version` and wire `codec` identifier (anything but [`NET_VERSION`] /
-/// a known [`igm_trace::Codec`] is only useful to exercise the server's
+/// [`igm_trace::CODEC_ID`] is only useful to exercise the server's
 /// checks — which is exactly what the protocol tests do).
 pub fn hello_message(version: u32, codec: u32, session: &SessionConfig) -> Vec<u8> {
     let mut body = Vec::with_capacity(64 + session.premark.len() * 8);
@@ -316,7 +303,7 @@ pub fn hello_message(version: u32, codec: u32, session: &SessionConfig) -> Vec<u
     out
 }
 
-/// Appends the v3 chunk span prefix: all-zero when the frame is
+/// Appends the chunk span prefix: all-zero when the frame is
 /// unsampled, `flags` bit 0 plus the frame's flow/seq when it carries a
 /// tag.
 pub(crate) fn push_span_prefix(out: &mut Vec<u8>, tag: Option<FrameTag>) {
@@ -330,7 +317,7 @@ pub(crate) fn push_span_prefix(out: &mut Vec<u8>, tag: Option<FrameTag>) {
     }
 }
 
-/// Decodes a v3 chunk span prefix (exactly [`SPAN_PREFIX_BYTES`] bytes).
+/// Decodes a chunk span prefix (exactly [`SPAN_PREFIX_BYTES`] bytes).
 pub(crate) fn decode_span_prefix(bytes: &[u8]) -> Result<Option<FrameTag>, NetError> {
     debug_assert_eq!(bytes.len(), SPAN_PREFIX_BYTES);
     match bytes[0] {
@@ -450,6 +437,10 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn finish(&self) -> Result<(), NetError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -459,25 +450,22 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes a `HELLO` payload into the tenant's [`SessionConfig`], the
-/// negotiated trace [`Codec`] and the negotiated protocol version
-/// (anywhere in [`NET_VERSION_COMPAT`]..=[`NET_VERSION`] — the lane then
-/// speaks *the client's* version), enforcing magic, version and codec
-/// first.
-pub fn decode_hello(payload: &[u8]) -> Result<(SessionConfig, Codec, u32), NetError> {
+/// Decodes a `HELLO` payload into the tenant's [`SessionConfig`],
+/// enforcing magic, version ([`NET_VERSION`]) and codec
+/// ([`igm_trace::CODEC_ID`]) first.
+pub fn decode_hello(payload: &[u8]) -> Result<SessionConfig, NetError> {
     let mut r = Reader { bytes: payload, pos: 0 };
     if r.take(4)? != NET_MAGIC {
         return Err(NetError::BadMagic);
     }
     let version = r.u32()?;
-    if !(NET_VERSION_COMPAT..=NET_VERSION).contains(&version) {
+    if version != NET_VERSION {
         return Err(NetError::VersionMismatch { theirs: version });
     }
-    let codec_id = r.u32()?;
-    let codec = match Codec::from_wire(codec_id) {
-        Some(c) => c,
-        None => return Err(NetError::UnsupportedCodec { theirs: codec_id }),
-    };
+    let codec = r.u32()?;
+    if codec != CODEC_ID {
+        return Err(NetError::UnsupportedCodec { theirs: codec });
+    }
     let name_len = r.u16()? as usize;
     if name_len > MAX_NAME_BYTES {
         return Err(NetError::Malformed("tenant name exceeds the protocol bound"));
@@ -525,6 +513,11 @@ pub fn decode_hello(payload: &[u8]) -> Result<(SessionConfig, Codec, u32), NetEr
     if regions > MAX_PREMARK_REGIONS {
         return Err(NetError::Malformed("premark region count exceeds the protocol bound"));
     }
+    // Eight bytes per region: the count must not size an allocation
+    // before the bytes it promises have arrived.
+    if regions * 8 > r.remaining() {
+        return Err(NetError::Malformed("premark region count exceeds the payload"));
+    }
     let mut premark = Vec::with_capacity(regions);
     for _ in 0..regions {
         premark.push((r.u32()?, r.u32()?));
@@ -538,7 +531,7 @@ pub fn decode_hello(payload: &[u8]) -> Result<(SessionConfig, Codec, u32), NetEr
     });
     cfg.synthetic_workload = synthetic;
     cfg.premark = premark;
-    Ok((cfg, codec, version))
+    Ok(cfg)
 }
 
 fn decode_u64(payload: &[u8]) -> Result<u64, NetError> {
@@ -716,43 +709,31 @@ mod tests {
             .accel(AccelConfig::full(ItConfig::taint_style()))
             .premark(&[(0x1000, 0x40), (0x9000, 0x2000)]);
         cfg.synthetic_workload = true;
-        let hello = hello_message(NET_VERSION, Codec::Predicted.wire(), &cfg);
+        let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
         assert_eq!(hello[0], msg::HELLO);
         let len = u32::from_le_bytes(hello[1..5].try_into().unwrap()) as usize;
         assert_eq!(hello.len(), MSG_HEADER_BYTES + len);
-        let (decoded, codec, version) = decode_hello(&hello[MSG_HEADER_BYTES..]).unwrap();
+        let decoded = decode_hello(&hello[MSG_HEADER_BYTES..]).unwrap();
         assert_eq!(decoded.name, cfg.name);
         assert_eq!(decoded.lifeguard, cfg.lifeguard);
         assert_eq!(decoded.accel, cfg.accel);
         assert_eq!(decoded.synthetic_workload, cfg.synthetic_workload);
         assert_eq!(decoded.premark, cfg.premark);
-        assert_eq!(codec, Codec::Predicted);
-        assert_eq!(version, NET_VERSION);
-        // Delta negotiation survives the round trip too.
-        let hello = hello_message(NET_VERSION, Codec::Delta.wire(), &cfg);
-        let (_, codec, _) = decode_hello(&hello[MSG_HEADER_BYTES..]).unwrap();
-        assert_eq!(codec, Codec::Delta);
     }
 
     #[test]
-    fn hello_negotiates_the_compat_version_range() {
+    fn hello_accepts_only_the_current_version() {
         let cfg = SessionConfig::new("old-peer", LifeguardKind::AddrCheck);
-        // A v2 peer is admitted and the lane remembers its version.
-        let hello = hello_message(NET_VERSION_COMPAT, Codec::Predicted.wire(), &cfg);
-        let (_, _, version) = decode_hello(&hello[MSG_HEADER_BYTES..]).unwrap();
-        assert_eq!(version, NET_VERSION_COMPAT);
-        // Versions outside the range are refused on both sides.
-        for bad in [1, NET_VERSION + 1] {
-            let hello = hello_message(bad, Codec::Predicted.wire(), &cfg);
+        // Every other version — the retired v2 included — is refused.
+        for bad in [0, 1, 2, NET_VERSION + 1] {
+            let hello = hello_message(bad, CODEC_ID, &cfg);
             match decode_hello(&hello[MSG_HEADER_BYTES..]) {
                 Err(NetError::VersionMismatch { theirs }) => assert_eq!(theirs, bad),
                 other => panic!("version {bad}: expected mismatch, got {other:?}"),
             }
         }
-        // The refusal names the version — the client's downgrade retry
-        // keys on this.
-        let reason = NetError::VersionMismatch { theirs: 9 }.to_string();
-        assert!(reason.contains("protocol version"), "{reason}");
+        let reason = NetError::VersionMismatch { theirs: 2 }.to_string();
+        assert!(reason.contains("protocol version 2"), "{reason}");
     }
 
     #[test]
@@ -780,12 +761,12 @@ mod tests {
     #[test]
     fn hello_version_and_magic_are_enforced() {
         let cfg = SessionConfig::new("t", LifeguardKind::AddrCheck);
-        let hello = hello_message(99, Codec::Predicted.wire(), &cfg);
+        let hello = hello_message(99, CODEC_ID, &cfg);
         match decode_hello(&hello[MSG_HEADER_BYTES..]) {
             Err(NetError::VersionMismatch { theirs: 99 }) => {}
             other => panic!("expected version mismatch, got {other:?}"),
         }
-        let mut bad = hello_message(NET_VERSION, Codec::Predicted.wire(), &cfg);
+        let mut bad = hello_message(NET_VERSION, CODEC_ID, &cfg);
         bad[MSG_HEADER_BYTES] = b'X';
         assert!(matches!(decode_hello(&bad[MSG_HEADER_BYTES..]), Err(NetError::BadMagic)));
     }
@@ -793,10 +774,30 @@ mod tests {
     #[test]
     fn hello_rejects_an_unknown_trace_codec() {
         let cfg = SessionConfig::new("t", LifeguardKind::AddrCheck);
-        let hello = hello_message(NET_VERSION, 7, &cfg);
+        // The retired delta codec (1) is as unknown as a made-up one.
+        for codec in [1, 7] {
+            let hello = hello_message(NET_VERSION, codec, &cfg);
+            match decode_hello(&hello[MSG_HEADER_BYTES..]) {
+                Err(NetError::UnsupportedCodec { theirs }) => assert_eq!(theirs, codec),
+                other => panic!("codec {codec}: expected unsupported codec, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn hello_premark_count_is_bounded_by_the_payload() {
+        // A HELLO claiming the maximum region count but carrying no
+        // region bytes: refused before any allocation is sized from the
+        // count.
+        let cfg = SessionConfig::new("t", LifeguardKind::AddrCheck);
+        let mut hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
+        let count_at = hello.len() - 4;
+        hello[count_at..].copy_from_slice(&(MAX_PREMARK_REGIONS as u32).to_le_bytes());
         match decode_hello(&hello[MSG_HEADER_BYTES..]) {
-            Err(NetError::UnsupportedCodec { theirs: 7 }) => {}
-            other => panic!("expected unsupported codec, got {other:?}"),
+            Err(NetError::Malformed(reason)) => {
+                assert_eq!(reason, "premark region count exceeds the payload")
+            }
+            other => panic!("expected a payload-bound refusal, got {other:?}"),
         }
     }
 
@@ -857,11 +858,11 @@ mod tests {
             it: None,
             if_geometry: None,
         });
-        let hello = hello_message(NET_VERSION, Codec::Predicted.wire(), &cfg);
+        let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
         assert!(matches!(decode_hello(&hello[MSG_HEADER_BYTES..]), Err(NetError::Malformed(_))));
         // …an absurd M-TLB capacity (would drive a huge allocation)…
         cfg.accel.mtlb_entries = u32::MAX as usize;
-        let hello = hello_message(NET_VERSION, Codec::Predicted.wire(), &cfg);
+        let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
         assert!(matches!(decode_hello(&hello[MSG_HEADER_BYTES..]), Err(NetError::Malformed(_))));
         // …and non-power-of-two / oversized-way filter geometry.
         for geo in [
@@ -876,7 +877,7 @@ mod tests {
                 it: None,
                 if_geometry: Some(geo),
             });
-            let hello = hello_message(NET_VERSION, Codec::Predicted.wire(), &cfg);
+            let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
             assert!(
                 matches!(decode_hello(&hello[MSG_HEADER_BYTES..]), Err(NetError::Malformed(_))),
                 "geometry {geo:?} must be refused"

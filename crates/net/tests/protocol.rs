@@ -7,7 +7,7 @@ use igm_lifeguards::LifeguardKind;
 use igm_net::wire::{self, msg};
 use igm_net::{IngestServer, NetError, NetServerConfig, TraceForwarder};
 use igm_runtime::{MonitorPool, PoolConfig, SessionConfig};
-use igm_trace::{encode_frame, Codec, TraceError};
+use igm_trace::{encode_frame, TraceError, CODEC_ID};
 use igm_workload::Benchmark;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -40,34 +40,55 @@ impl RawClient {
     }
 }
 
+fn read_message(stream: &mut TcpStream) -> (u8, Vec<u8>) {
+    use std::io::Read;
+    let mut header = [0u8; 5];
+    stream.read_exact(&mut header).unwrap();
+    let len = u32::from_le_bytes(header[1..5].try_into().unwrap()) as usize;
+    let mut payload = vec![0u8; len];
+    stream.read_exact(&mut payload).unwrap();
+    (header[0], payload)
+}
+
 #[test]
 fn version_mismatch_is_rejected_with_a_typed_error() {
     let pool = MonitorPool::new(PoolConfig::with_workers(1));
     let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
 
-    let client = std::thread::spawn(move || {
-        let mut raw = RawClient::connect(addr);
-        let hello = wire::hello_message(
-            99,
-            Codec::Predicted.wire(),
-            &session_cfg("old", LifeguardKind::AddrCheck),
-        );
-        raw.send(&hello);
-        // Hold the socket open long enough for the server's ERROR reply
-        // to land before the drop races it.
-        std::thread::sleep(Duration::from_millis(100));
-    });
-    let report = server.serve_connections(1);
-    client.join().unwrap();
+    // The retired version 2 and a version from the future: each peer
+    // gets an ERROR naming its version, and no lane opens.
+    let clients: Vec<_> = [2u32, 99]
+        .into_iter()
+        .map(|version| {
+            std::thread::spawn(move || {
+                let mut raw = RawClient::connect(addr);
+                raw.stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                let cfg = session_cfg("old", LifeguardKind::AddrCheck);
+                raw.send(&wire::hello_message(version, CODEC_ID, &cfg));
+                let (ty, payload) = read_message(&mut raw.stream);
+                assert_eq!(ty, msg::ERROR);
+                let reason = String::from_utf8_lossy(&payload[2..]).into_owned();
+                assert!(reason.contains(&format!("protocol version {version}")), "{reason}");
+            })
+        })
+        .collect();
+    let report = server.serve_connections(2);
+    for c in clients {
+        c.join().unwrap();
+    }
 
     assert_eq!(report.accepted, 0);
-    assert_eq!(report.rejected.len(), 1);
-    assert!(
-        matches!(report.rejected[0].1, NetError::VersionMismatch { theirs: 99 }),
-        "expected a version mismatch, got {:?}",
-        report.rejected[0].1
-    );
+    let mut refused: Vec<u32> = report
+        .rejected
+        .iter()
+        .map(|(_, e)| match e {
+            NetError::VersionMismatch { theirs } => *theirs,
+            other => panic!("expected a version mismatch, got {other:?}"),
+        })
+        .collect();
+    refused.sort_unstable();
+    assert_eq!(refused, [2, 99]);
     assert!(report.ingest.sessions.is_empty(), "no session may open for a rejected client");
     pool.shutdown();
 }
@@ -105,31 +126,6 @@ fn unknown_trace_codec_is_rejected_with_a_typed_error() {
 }
 
 #[test]
-fn delta_codec_negotiates_and_delivers() {
-    // A client that opts into the legacy delta codec still round-trips:
-    // the HELLO negotiates codec 1 and every chunk frame carries it.
-    let pool = MonitorPool::new(PoolConfig::with_workers(1));
-    let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
-    let addr = server.local_addr().unwrap();
-
-    const N: u64 = 3_000;
-    let client = std::thread::spawn(move || {
-        let cfg = session_cfg("delta", LifeguardKind::AddrCheck);
-        let fwd_cfg = igm_net::ForwarderConfig { codec: Codec::Delta, ..Default::default() };
-        let mut fwd = TraceForwarder::connect_with(addr, &cfg, fwd_cfg).unwrap();
-        fwd.stream(Benchmark::Gzip.trace(N)).unwrap();
-        fwd.finish().unwrap()
-    });
-    let report = server.serve_connections(1);
-    let fwd_report = client.join().unwrap();
-
-    assert_eq!(fwd_report.server_records, N);
-    assert!(report.ingest.errors.is_empty(), "{:?}", report.ingest.errors);
-    assert_eq!(report.ingest.sessions[0].records, N);
-    pool.shutdown();
-}
-
-#[test]
 fn non_hello_first_message_is_rejected_without_blocking_others() {
     let pool = MonitorPool::new(PoolConfig::with_workers(1));
     let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
@@ -157,94 +153,42 @@ fn non_hello_first_message_is_rejected_without_blocking_others() {
 
 #[test]
 fn connect_surfaces_a_server_side_rejection() {
-    // A minimal raw "server" that refuses every handshake with an ERROR
-    // message — connect() must surface it as NetError::Rejected.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let fake = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let reason = "tenant quota exceeded";
-        let mut out = vec![msg::ERROR];
-        out.extend_from_slice(&((2 + reason.len()) as u32).to_le_bytes());
-        out.extend_from_slice(&(reason.len() as u16).to_le_bytes());
-        out.extend_from_slice(reason.as_bytes());
-        stream.write_all(&out).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-    });
-    let cfg = session_cfg("refused", LifeguardKind::AddrCheck);
-    match TraceForwarder::connect(addr, &cfg) {
-        Err(NetError::Rejected(reason)) => assert_eq!(reason, "tenant quota exceeded"),
-        other => panic!("expected Rejected, got {:?}", other.map(|_| "a connection")),
+    // A minimal raw "server" that refuses the handshake with an ERROR
+    // message — connect() must surface it as NetError::Rejected, and
+    // never reconnect to try again (not even when the reason names the
+    // protocol version).
+    for reason in ["tenant quota exceeded", "peer speaks protocol version 3 (this side speaks 2)"] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let (ty, payload) = read_message(&mut stream);
+            assert_eq!(ty, msg::HELLO);
+            assert_eq!(u32::from_le_bytes(payload[4..8].try_into().unwrap()), wire::NET_VERSION);
+            assert_eq!(u32::from_le_bytes(payload[8..12].try_into().unwrap()), CODEC_ID);
+            let mut out = vec![msg::ERROR];
+            out.extend_from_slice(&((2 + reason.len()) as u32).to_le_bytes());
+            out.extend_from_slice(&(reason.len() as u16).to_le_bytes());
+            out.extend_from_slice(reason.as_bytes());
+            stream.write_all(&out).unwrap();
+            // Watch for a second connection for a while after the refusal.
+            listener.set_nonblocking(true).unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_millis(300);
+            while std::time::Instant::now() < deadline {
+                if listener.accept().is_ok() {
+                    return true;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            false
+        });
+        let cfg = session_cfg("refused", LifeguardKind::AddrCheck);
+        match TraceForwarder::connect(addr, &cfg) {
+            Err(NetError::Rejected(got)) => assert_eq!(got, reason),
+            other => panic!("expected Rejected, got {:?}", other.map(|_| "a connection")),
+        }
+        assert!(!fake.join().unwrap(), "the forwarder must not retry after a refusal ({reason})");
     }
-    fake.join().unwrap();
-}
-
-#[test]
-fn old_server_triggers_a_v2_downgrade_retry() {
-    use std::io::Read;
-
-    fn read_message(stream: &mut TcpStream) -> (u8, Vec<u8>) {
-        let mut header = [0u8; 5];
-        stream.read_exact(&mut header).unwrap();
-        let len = u32::from_le_bytes(header[1..5].try_into().unwrap()) as usize;
-        let mut payload = vec![0u8; len];
-        stream.read_exact(&mut payload).unwrap();
-        (header[0], payload)
-    }
-
-    // A fake pre-v3 server: refuses the first connection naming the
-    // protocol version (exactly what an old decode_hello would), then
-    // welcomes the retry and inspects what it receives.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let fake = std::thread::spawn(move || {
-        let (mut s1, _) = listener.accept().unwrap();
-        let (ty, payload) = read_message(&mut s1);
-        assert_eq!(ty, msg::HELLO);
-        let announced = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-        assert_eq!(announced, wire::NET_VERSION, "the first attempt speaks the current version");
-        let reason = "peer speaks protocol version 3 (this side speaks 2)";
-        let mut out = vec![msg::ERROR];
-        out.extend_from_slice(&((2 + reason.len()) as u32).to_le_bytes());
-        out.extend_from_slice(&(reason.len() as u16).to_le_bytes());
-        out.extend_from_slice(reason.as_bytes());
-        s1.write_all(&out).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        drop(s1);
-
-        // The retry: a v2 HELLO this time. Welcome it with credit and
-        // check the chunk that follows is a bare codec frame (no span
-        // prefix — that wire format has nowhere to carry one).
-        let (mut s2, _) = listener.accept().unwrap();
-        let (ty, payload) = read_message(&mut s2);
-        assert_eq!(ty, msg::HELLO);
-        let announced = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-        assert_eq!(announced, wire::NET_VERSION_COMPAT, "the retry downgrades to v2");
-        let mut welcome = vec![msg::WELCOME];
-        welcome.extend_from_slice(&8u32.to_le_bytes());
-        welcome.extend_from_slice(&(1u64 << 20).to_le_bytes());
-        s2.write_all(&welcome).unwrap();
-        let (ty, payload) = read_message(&mut s2);
-        assert_eq!(ty, msg::CHUNK);
-        assert_eq!(
-            igm_trace::frame_codec(&payload),
-            Some(Codec::Predicted),
-            "a v2 chunk opens directly with the codec frame"
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    });
-
-    let cfg = session_cfg("legacy", LifeguardKind::AddrCheck);
-    let mut fwd = TraceForwarder::connect(addr, &cfg).unwrap();
-    assert_eq!(fwd.wire_version(), wire::NET_VERSION_COMPAT);
-    // Span attachment on a downgraded lane is a no-op: nothing to carry
-    // the tag, so nothing may be recorded.
-    let recorder = std::sync::Arc::new(igm_span::FlightRecorder::new(Default::default()));
-    fwd.attach_spans(&recorder);
-    let batch: igm_lba::TraceBatch = Benchmark::Gzip.trace(64).collect();
-    fwd.send_batch(&batch).unwrap();
-    assert!(recorder.snapshot().is_empty(), "no client stages on a v2 lane");
-    fake.join().unwrap();
 }
 
 #[test]
@@ -257,7 +201,7 @@ fn mid_frame_disconnect_fails_only_that_lane() {
         let mut raw = RawClient::connect(addr);
         raw.send(&wire::hello_message(
             wire::NET_VERSION,
-            Codec::Predicted.wire(),
+            CODEC_ID,
             &session_cfg("truncated", LifeguardKind::AddrCheck),
         ));
         // A chunk message header promising 1000 payload bytes, then only
@@ -307,7 +251,7 @@ fn corrupt_frame_fails_only_its_lane() {
         let mut raw = RawClient::connect(addr);
         raw.send(&wire::hello_message(
             wire::NET_VERSION,
-            Codec::Predicted.wire(),
+            CODEC_ID,
             &session_cfg("corrupt", LifeguardKind::AddrCheck),
         ));
         // A structurally complete v3 chunk (unsampled span prefix) whose

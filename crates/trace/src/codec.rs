@@ -1,43 +1,24 @@
 //! The compact binary record codec and chunk framing.
 //!
-//! Two payload codecs share one framing layer and one set of per-field
-//! wire transforms:
+//! One payload codec, the paper's value-predicted log: each column (pc,
+//! static record shape, addresses, immediates) runs through a per-frame
+//! value predictor; a predictor hit costs one bit in the column's hit
+//! bitmap, and a miss escapes into that field's delta transform. On loopy
+//! workloads nearly every field hits after its first encounter, so the
+//! stream runs at ~1–2 bytes/record.
 //!
-//! * **Codec 1 (delta)** — the original record-interleaved encoding: a
-//!   tag byte, a zigzag pc delta, then a variant-specific payload, with
-//!   one shared address-delta stream per frame.
-//! * **Codec 2 (predicted)** — the paper's value-predicted log. Each
-//!   column (pc, static record shape, addresses, immediates) runs
-//!   through a per-frame value predictor; a predictor hit costs one bit
-//!   in the column's hit bitmap, and a miss escapes into exactly the
-//!   codec-1 delta transform for that field. On loopy workloads nearly
-//!   every field hits after its first encounter, compressing the stream
-//!   from ~4–6 bytes/record to ~1–2.
+//! # Field transforms
 //!
-//! # Codec 1 record encoding
+//! Escapes use one wire transform per field. Varints are LEB128 (7 value
+//! bits per byte, high bit = continuation). A pc escape is
+//! `varint(zigzag(pc − prev_pc))`. Memory references share one per-frame
+//! address-delta stream: a sized reference encodes as
+//! `varint(zigzag(addr − prev_addr) << 2 | size_code)` with size codes
+//! 0/1/2 for 1/2/4-byte accesses; address-valued annotation payloads
+//! (malloc base, lock word, …) ride the same stream without the size
+//! bits. Both delta streams reset at every frame boundary.
 //!
-//! One [`TraceEntry`] encodes as:
-//!
-//! ```text
-//! tag          1 byte   bits 0..6: flattened variant id (0..=25)
-//!                       bit 7: entry carries a non-empty addr_regs set
-//! pc           varint   zigzag(pc − prev_pc)   (delta stream per chunk)
-//! [addr_regs]  1 byte   RegSet bitmap, present iff tag bit 7
-//! payload      …        variant-specific, see below
-//! ```
-//!
-//! Varints are LEB128 (7 value bits per byte, high bit = continuation).
-//! Memory references share one per-chunk address-delta stream: a `MemRef`
-//! encodes as `varint(zigzag(addr − prev_addr) << 2 | size_code)` with
-//! size codes 0/1/2 for 1/2/4-byte accesses; address-valued annotation
-//! payloads (malloc base, lock word, …) ride the same stream without the
-//! size bits. Both delta streams reset at every chunk boundary, so chunks
-//! decode independently.
-//!
-//! Registers encode as their dense index; register pairs pack into one
-//! byte (`rs << 4 | rd`). Optional fields are announced by a flags byte.
-//!
-//! # Codec 2 column encoding
+//! # Column encoding
 //!
 //! The frame payload is four column sections, in order — pc, static,
 //! address, value — each a hit bitmap (one bit per slot, LSB-first,
@@ -45,12 +26,12 @@
 //!
 //! ```text
 //! pc_bits      ⌈n/8⌉ bytes   per record: predicted-next-pc hit?
-//! pc_escapes   …             missed pcs, codec-1 zigzag delta varints
+//! pc_escapes   …             missed pcs, zigzag delta varints
 //! static_bits  ⌈n/8⌉ bytes   per record: (code, addr_regs, regs, flags) hit?
 //! static_esc   …             missed statics, field-reordered varints
 //! addr_mode    1 byte, m>0   escape delta base: 0 global, 1 predicted
 //! mem_bits     ⌈m/8⌉ bytes   per address slot: stride-predictor hit?
-//! mem_escapes  …             missed slots, codec-1 address-stream varints
+//! mem_escapes  …             missed slots, address-stream varints
 //!                            deltaed against the frame's chosen base
 //! val_bits     ⌈v/8⌉ bytes   per immediate: last-value hit?
 //! val_escapes  …             missed immediates, raw varints
@@ -66,27 +47,25 @@
 //!
 //! # Chunk framing
 //!
-//! A trace file is a 8-byte header (`b"IGMT"`, `u32` LE version) followed
-//! by frames. A version-2 frame:
+//! A trace file is a 8-byte header (`b"IGMT"`, `u32` LE version
+//! [`FORMAT_VERSION`]) followed by frames:
 //!
 //! ```text
 //! records      u32 LE   entries in this chunk (> 0)
 //! payload_len  u32 LE   encoded payload bytes (> 0)
 //! checksum     u32 LE   FNV-1a-32 over the payload bytes
-//! codec        u32 LE   payload codec (1 = delta, 2 = predicted)
+//! codec        u32 LE   payload codec, always CODEC_ID (2)
 //! payload      payload_len bytes
 //! ```
 //!
-//! Version-1 files carry the same header without the codec field
-//! (12 bytes, payloads always codec 1); [`TraceReader`] decodes both.
-//!
 //! A clean EOF at a frame boundary ends the trace; anything else —
-//! truncated header or payload, checksum mismatch, zero-record or
-//! zero-length frames, trailing payload bytes, out-of-range field
-//! encodings, hit bits referencing predictor slots the frame never
-//! seeded — is a [`TraceError::Corrupt`] with the file offset. One
-//! frame per transport batch keeps capture and replay chunk-for-chunk
-//! identical with the live session that produced the file.
+//! truncated header or payload, checksum mismatch, a codec id other than
+//! [`CODEC_ID`], zero-record or zero-length frames, trailing payload
+//! bytes, out-of-range field encodings, hit bits referencing predictor
+//! slots the frame never seeded — is a [`TraceError::Corrupt`] with the
+//! file offset. One frame per transport batch keeps capture and replay
+//! chunk-for-chunk identical with the live session that produced the
+//! file.
 
 use igm_isa::{codes, MemSize, Reg, TraceEntry};
 use igm_lba::TraceBatch;
@@ -98,58 +77,20 @@ use std::time::Instant;
 /// The four magic bytes opening every trace file.
 pub const MAGIC: [u8; 4] = *b"IGMT";
 
-/// Current format version (16-byte frame headers with a codec field).
+/// The container format version every trace file carries.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// The legacy format version (12-byte frame headers, delta payloads).
-pub const FORMAT_VERSION_V1: u32 = 1;
+/// The payload codec identifier every frame header carries (the
+/// value-predicted codec), and the codec an `igm-net` `HELLO` names.
+pub const CODEC_ID: u32 = 2;
 
 /// Upper bound accepted for one frame's payload, so a corrupt length field
 /// cannot drive a multi-gigabyte allocation before the checksum catches it.
 pub const MAX_PAYLOAD_BYTES: u32 = 64 * 1024 * 1024;
 
-/// Bytes of version-1 frame header preceding every frame payload
-/// (`records`, `payload_len`, `checksum`, each `u32` LE).
-pub const FRAME_HEADER_BYTES: usize = 12;
-
-/// Bytes of version-2 frame header: the version-1 fields plus a `u32` LE
-/// codec identifier.
+/// Bytes of frame header preceding every frame payload (`records`,
+/// `payload_len`, `checksum` and `codec`, each `u32` LE).
 pub const FRAME_HEADER_BYTES_V2: usize = 16;
-
-/// Payload codec carried in a version-2 frame header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Codec {
-    /// Per-record delta streams — the format-1 record encoding.
-    Delta = 1,
-    /// Value-predicted columns: hit bitmaps plus delta-coded escapes.
-    Predicted = 2,
-}
-
-impl Codec {
-    /// The codec's wire identifier (the frame-header field, and the value
-    /// negotiated in the `igm-net` HELLO).
-    pub fn wire(self) -> u32 {
-        self as u32
-    }
-
-    /// Parses a wire codec identifier.
-    pub fn from_wire(v: u32) -> Option<Codec> {
-        match v {
-            1 => Some(Codec::Delta),
-            2 => Some(Codec::Predicted),
-            _ => None,
-        }
-    }
-}
-
-/// Reads the codec field out of a version-2 frame's first bytes, if
-/// enough of the header is present and the field is a known codec.
-pub fn frame_codec(frame: &[u8]) -> Option<Codec> {
-    if frame.len() < FRAME_HEADER_BYTES_V2 {
-        return None;
-    }
-    Codec::from_wire(u32::from_le_bytes(frame[12..16].try_into().unwrap()))
-}
 
 /// Errors produced while reading or writing a trace stream.
 #[derive(Debug)]
@@ -158,7 +99,7 @@ pub enum TraceError {
     Io(io::Error),
     /// The stream does not start with [`MAGIC`].
     BadMagic,
-    /// The stream's format version is newer than this reader.
+    /// The stream's format version is not [`FORMAT_VERSION`].
     UnsupportedVersion(u32),
     /// Structural damage at `offset` bytes into the stream.
     Corrupt {
@@ -175,10 +116,7 @@ impl fmt::Display for TraceError {
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
             TraceError::BadMagic => write!(f, "not an igm trace stream (bad magic)"),
             TraceError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported trace format version {v} (reader speaks 1..={FORMAT_VERSION})"
-                )
+                write!(f, "unsupported trace format version {v} (reader speaks {FORMAT_VERSION})")
             }
             TraceError::Corrupt { offset, reason } => {
                 write!(f, "corrupt trace stream at byte {offset}: {reason}")
@@ -299,38 +237,8 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// One register index byte, validated.
-    fn reg(&mut self) -> Result<u8, TraceError> {
-        let b = self.byte()?;
-        if Reg::try_from_index(b as usize).is_none() {
-            return self.corrupt("register index out of range");
-        }
-        Ok(b)
-    }
-
-    /// One packed register pair (`rs << 4 | rd`), both nibbles validated.
-    fn reg_pair(&mut self) -> Result<u8, TraceError> {
-        let b = self.byte()?;
-        if Reg::try_from_index((b >> 4) as usize).is_none()
-            || Reg::try_from_index((b & 0x0f) as usize).is_none()
-        {
-            return self.corrupt("register index out of range");
-        }
-        Ok(b)
-    }
-
-    /// One optional-register byte: a register index or [`codes::NO_REG`].
-    fn opt_reg(&mut self) -> Result<u8, TraceError> {
-        let b = self.byte()?;
-        if b != codes::NO_REG && Reg::try_from_index(b as usize).is_none() {
-            return self.corrupt("register index out of range");
-        }
-        Ok(b)
-    }
-
-    /// Decodes one pc off the pc delta stream (zigzag varint against the
-    /// previous pc) — the one wire transform for the pc field, shared by
-    /// codec-1 records and codec-2 escape slots.
+    /// Decodes one pc escape off the pc delta stream (zigzag varint
+    /// against the previous pc) — the one wire transform for the pc field.
     fn pc(&mut self, st: &mut CodecState) -> Result<u32, TraceError> {
         let delta = unzigzag(self.varint()?);
         match u32::try_from(st.prev_pc as i64 + delta) {
@@ -380,12 +288,8 @@ impl<'a> Cursor<'a> {
 
 // ---------------------------------------------------------------------------
 // Per-field wire transforms (encode side). Each field has exactly one
-// encoder here and one decoder on `Cursor`; codec 1 applies them
-// per-record, codec 2 applies the same transforms to its escape slots.
+// encoder here and one decoder on `Cursor`, applied to the escape slots.
 // ---------------------------------------------------------------------------
-
-/// Tag bit set when the entry carries a non-empty `addr_regs` set.
-const TAG_ADDR_REGS: u8 = 0x80;
 
 fn put_pc(out: &mut Vec<u8>, st: &mut CodecState, pc: u32) {
     put_varint(out, zigzag(pc as i64 - st.prev_pc as i64));
@@ -409,8 +313,8 @@ fn put_addr(out: &mut Vec<u8>, st: &mut CodecState, addr: u32) {
 
 /// How many shared-address-stream slots and immediate values a record
 /// with this `code`/`flags` owns, as `(sized_mems, plain_addrs, vals)` —
-/// the single map from record shape to column slots, used by the codec-2
-/// column walks on both sides.
+/// the single map from record shape to column slots, used by the column
+/// walks on both sides.
 pub(crate) fn stream_shape(code: u8, flags: u8) -> (u8, u8, u8) {
     match code {
         codes::IMM_TO_MEM
@@ -433,9 +337,8 @@ pub(crate) fn stream_shape(code: u8, flags: u8) -> (u8, u8, u8) {
 }
 
 /// Validates a decoded `(code, regs, flags)` combination against the
-/// record grammar — everything the codec-1 per-field decoders enforce
-/// structurally, applied to a codec-2 static-column escape before it can
-/// seed the predictor table and reach the batch columns.
+/// record grammar, applied to a static-column escape before it can seed
+/// the predictor table and reach the batch columns.
 fn validate_static(code: u8, regs: u8, flags: u8) -> Result<(), &'static str> {
     let reg_ok = |r: u8| Reg::try_from_index(r as usize).is_some();
     let flagless = |flags: u8| -> Result<(), &'static str> {
@@ -565,7 +468,7 @@ fn static_unescape(v: u32) -> Option<u32> {
 }
 
 // ---------------------------------------------------------------------------
-// Value predictors (codec 2).
+// Value predictors.
 // ---------------------------------------------------------------------------
 
 /// log2 of every predictor table's slot count.
@@ -591,7 +494,7 @@ struct StrideSlot {
     size: u8,
 }
 
-/// The codec-2 predictor tables — a next-pc table chained on the
+/// The predictor tables — a next-pc table chained on the
 /// previous pc, last-value tables keyed by pc for the static column and
 /// immediates, and per-`(pc, operand-slot)` stride tables for addresses.
 ///
@@ -714,231 +617,7 @@ impl Predictors {
 }
 
 // ---------------------------------------------------------------------------
-// Codec 1 record encode/decode.
-// ---------------------------------------------------------------------------
-
-/// Encodes one chunk's worth of [`TraceBatch`] columns into `out`. The
-/// record tags are the batch's `codes` column (plus the addr-regs bit),
-/// the pc and address delta streams are the `pcs` and `addrs` columns
-/// re-delta'd, and payload bytes come straight off the `regs`/`flags`
-/// columns — the wire format and the columnar layout correspond
-/// stream-for-stream, so this is a set of cursor walks, not a per-record
-/// re-match of the trace vocabulary.
-fn encode_batch(out: &mut Vec<u8>, batch: &TraceBatch) {
-    let mut st = CodecState::default();
-    let pcs = batch.pcs();
-    let rcodes = batch.codes();
-    let aregs = batch.addr_regs_bits();
-    let regs = batch.reg_bytes();
-    let flags = batch.flag_bytes();
-    let addrs = batch.addrs();
-    let sizes = batch.size_codes();
-    let vals = batch.vals();
-    let (mut ai, mut vi) = (0usize, 0usize);
-    macro_rules! mem {
-        () => {{
-            put_mem_parts(out, &mut st, addrs[ai], sizes[ai]);
-            ai += 1;
-        }};
-    }
-    macro_rules! plain_addr {
-        () => {{
-            put_addr(out, &mut st, addrs[ai]);
-            ai += 1;
-        }};
-    }
-    macro_rules! val {
-        () => {{
-            let v = vals[vi];
-            vi += 1;
-            v
-        }};
-    }
-    for i in 0..batch.len() {
-        let code = rcodes[i];
-        let areg = aregs[i];
-        out.push(code | if areg != 0 { TAG_ADDR_REGS } else { 0 });
-        put_pc(out, &mut st, pcs[i]);
-        if areg != 0 {
-            out.push(areg);
-        }
-        match code {
-            codes::IMM_TO_REG | codes::REG_SELF => out.push(regs[i] & 0x0f),
-            codes::IMM_TO_MEM | codes::MEM_SELF => mem!(),
-            codes::REG_TO_REG | codes::DEST_REG_OP_REG => out.push(regs[i]),
-            codes::REG_TO_MEM | codes::DEST_MEM_OP_REG => {
-                out.push(regs[i] & 0x0f);
-                mem!();
-            }
-            codes::MEM_TO_REG | codes::DEST_REG_OP_MEM => {
-                mem!();
-                out.push(regs[i] & 0x0f);
-            }
-            codes::MEM_TO_MEM => {
-                mem!();
-                mem!();
-            }
-            codes::READ_ONLY => {
-                out.push(flags[i]);
-                out.push(regs[i]);
-                if flags[i] & 1 != 0 {
-                    mem!();
-                }
-            }
-            codes::OTHER => {
-                out.push(flags[i]);
-                out.push(regs[i]);
-                out.push(val!() as u8);
-                if flags[i] & 1 != 0 {
-                    mem!();
-                }
-                if flags[i] & 2 != 0 {
-                    mem!();
-                }
-            }
-            codes::CTRL_DIRECT => {}
-            codes::CTRL_INDIRECT => {
-                if flags[i] & 1 != 0 {
-                    out.push(1);
-                    mem!();
-                } else {
-                    out.push(0);
-                    out.push(regs[i] & 0x0f);
-                }
-            }
-            codes::CTRL_COND => out.push(regs[i]),
-            codes::CTRL_RET | codes::ANN_PRINTF => mem!(),
-            codes::ANN_MALLOC | codes::ANN_READ_INPUT => {
-                plain_addr!();
-                put_varint(out, val!() as u64);
-            }
-            codes::ANN_FREE | codes::ANN_LOCK | codes::ANN_UNLOCK => plain_addr!(),
-            codes::ANN_SYSCALL => {
-                out.push(flags[i]);
-                if flags[i] & 1 != 0 {
-                    out.push(regs[i] & 0x0f);
-                }
-                if flags[i] & 2 != 0 {
-                    mem!();
-                }
-            }
-            codes::ANN_THREAD_SWITCH | codes::ANN_THREAD_EXIT => put_varint(out, val!() as u64),
-            c => unreachable!("invalid field code {c} in TraceBatch"),
-        }
-    }
-}
-
-/// Decodes one record from the chunk payload **directly into** `out`'s
-/// columns: tag byte → `codes`, pc delta → `pcs`, payload bytes →
-/// `regs`/`flags`, the shared address-delta stream → `addrs`/`sizes`,
-/// immediates → `vals`. No intermediate `TraceEntry` is materialized; the
-/// wire streams and the columns line up one-to-one.
-fn decode_record(
-    cur: &mut Cursor<'_>,
-    st: &mut CodecState,
-    out: &mut TraceBatch,
-) -> Result<(), TraceError> {
-    let tag = cur.byte()?;
-    let pc = cur.pc(st)?;
-    let addr_regs = if tag & TAG_ADDR_REGS != 0 {
-        let bits = cur.byte()?;
-        if bits == 0 {
-            return cur.corrupt("addr_regs flag set but bitmap empty");
-        }
-        bits
-    } else {
-        0
-    };
-    let code = tag & !TAG_ADDR_REGS;
-    let mut regs = 0u8;
-    let mut flags = 0u8;
-    macro_rules! mem {
-        () => {{
-            let (addr, size_code) = cur.mem_parts(st)?;
-            out.push_raw_addr(addr, size_code);
-        }};
-    }
-    macro_rules! plain_addr {
-        () => {{
-            let addr = cur.addr(st)?;
-            out.push_raw_addr(addr, 2);
-        }};
-    }
-    match code {
-        codes::IMM_TO_REG | codes::REG_SELF => regs = cur.reg()?,
-        codes::IMM_TO_MEM | codes::MEM_SELF => mem!(),
-        codes::REG_TO_REG | codes::DEST_REG_OP_REG => regs = cur.reg_pair()?,
-        codes::REG_TO_MEM | codes::DEST_MEM_OP_REG => {
-            regs = cur.reg()?;
-            mem!();
-        }
-        codes::MEM_TO_REG | codes::DEST_REG_OP_MEM => {
-            mem!();
-            regs = cur.reg()?;
-        }
-        codes::MEM_TO_MEM => {
-            mem!();
-            mem!();
-        }
-        codes::READ_ONLY => {
-            flags = cur.byte()?;
-            if flags > 1 {
-                return cur.corrupt("read_only flags byte out of range");
-            }
-            regs = cur.byte()?;
-            if flags & 1 != 0 {
-                mem!();
-            }
-        }
-        codes::OTHER => {
-            flags = cur.byte()?;
-            if flags > 3 {
-                return cur.corrupt("other flags byte out of range");
-            }
-            regs = cur.byte()?;
-            out.push_raw_val(cur.byte()? as u32);
-            if flags & 1 != 0 {
-                mem!();
-            }
-            if flags & 2 != 0 {
-                mem!();
-            }
-        }
-        codes::CTRL_DIRECT => {}
-        codes::CTRL_INDIRECT => match cur.byte()? {
-            0 => regs = cur.reg()?,
-            1 => {
-                flags = 1;
-                mem!();
-            }
-            _ => return cur.corrupt("jump target kind out of range"),
-        },
-        codes::CTRL_COND => regs = cur.opt_reg()?,
-        codes::CTRL_RET | codes::ANN_PRINTF => mem!(),
-        codes::ANN_MALLOC | codes::ANN_READ_INPUT => {
-            plain_addr!();
-            out.push_raw_val(cur.u32_varint()?);
-        }
-        codes::ANN_FREE | codes::ANN_LOCK | codes::ANN_UNLOCK => plain_addr!(),
-        codes::ANN_SYSCALL => {
-            flags = cur.byte()?;
-            if flags > 3 {
-                return cur.corrupt("syscall flags byte out of range");
-            }
-            regs = if flags & 1 != 0 { cur.reg()? } else { codes::NO_REG };
-            if flags & 2 != 0 {
-                mem!();
-            }
-        }
-        codes::ANN_THREAD_SWITCH | codes::ANN_THREAD_EXIT => out.push_raw_val(cur.u32_varint()?),
-        _ => return cur.corrupt("unknown record tag"),
-    }
-    out.push_raw_record(pc, code, addr_regs, regs, flags);
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Codec 2 column encode/decode.
+// Column encode/decode.
 // ---------------------------------------------------------------------------
 
 #[inline]
@@ -946,7 +625,7 @@ fn bit(bits: &[u8], i: usize) -> bool {
     bits[i >> 3] >> (i & 7) & 1 != 0
 }
 
-/// Address-escape delta bases, named by the codec-2 per-frame mode byte
+/// Address-escape delta bases, named by the per-frame mode byte
 /// (present only when the frame has address slots): escapes delta
 /// against the running previous address, or against the missed slot's
 /// own prediction. The encoder codes both and ships the smaller.
@@ -956,10 +635,9 @@ const ADDR_MODE_PREDICTED: u8 = 1;
 /// Encodes one chunk's worth of [`TraceBatch`] columns through the value
 /// predictors into `out` — four column passes, each writing its hit
 /// bitmap in place and appending escape bytes behind it. Escapes use the
-/// same per-field transforms as codec 1 (and keep the delta-coder state
-/// advancing on hits), so each field's wire format is defined in exactly
-/// one place.
-fn encode_batch_v2(out: &mut Vec<u8>, batch: &TraceBatch, p: &mut Predictors) {
+/// per-field transforms (and keep the delta-coder state advancing on
+/// hits), so each field's wire format is defined in exactly one place.
+fn encode_batch(out: &mut Vec<u8>, batch: &TraceBatch, p: &mut Predictors) {
     p.begin_frame();
     let mut st = CodecState::default();
     let n = batch.len();
@@ -972,7 +650,7 @@ fn encode_batch_v2(out: &mut Vec<u8>, batch: &TraceBatch, p: &mut Predictors) {
     let sizes = batch.size_codes();
     let vals = batch.vals();
 
-    // Pc column: next-pc chained prediction, codec-1 delta escapes.
+    // Pc column: next-pc chained prediction, zigzag delta escapes.
     let bits = out.len();
     out.resize(bits + n.div_ceil(8), 0);
     for (i, &pc) in pcs.iter().enumerate() {
@@ -1001,7 +679,7 @@ fn encode_batch_v2(out: &mut Vec<u8>, batch: &TraceBatch, p: &mut Predictors) {
     }
 
     // Address column: per-(pc, operand-slot) stride prediction over the
-    // shared address stream; escapes are the codec-1 address varints.
+    // shared address stream; escapes are the address-stream varints.
     // Each frame codes its escapes against both delta bases — the running
     // previous address, and the missing slot's own prediction — and ships
     // the smaller stream, named by a mode byte ahead of the bitmap:
@@ -1086,13 +764,12 @@ fn encode_batch_v2(out: &mut Vec<u8>, batch: &TraceBatch, p: &mut Predictors) {
     debug_assert_eq!(vi, v, "batch value column disagrees with the record shapes");
 }
 
-/// Decodes one codec-2 frame payload into `out`'s columns — four column
-/// phases mirroring [`encode_batch_v2`]. Every hit bit must land on a
-/// predictor slot the frame itself already seeded (frames share no state),
-/// and only grammar-validated static escapes can seed the tables, so the
-/// decoded columns satisfy the same structural invariants codec 1
-/// enforces per record.
-fn decode_columns_v2(
+/// Decodes one frame payload into `out`'s columns — four column phases
+/// mirroring [`encode_batch`]. Every hit bit must land on a predictor slot
+/// the frame itself already seeded (frames share no state), and only
+/// grammar-validated static escapes can seed the tables, so the decoded
+/// columns satisfy the record grammar.
+fn decode_columns(
     records: u32,
     payload: &[u8],
     payload_at: u64,
@@ -1248,10 +925,11 @@ fn decode_columns_v2(
     Ok(())
 }
 
-/// Verifies a codec-2 frame payload's checksum and decodes its columns
-/// into `out` (appended), borrowing `p`'s scratch buffers for the
-/// intermediate pc/shape columns.
-fn decode_frame_payload_v2(
+/// Verifies a frame payload's checksum and decodes its columns into `out`
+/// (appended), borrowing `p`'s scratch buffers for the intermediate
+/// pc/shape columns. `payload_at` is the payload's stream offset for
+/// error reporting.
+fn decode_frame_payload(
     records: u32,
     sum: u32,
     payload: &[u8],
@@ -1266,7 +944,7 @@ fn decode_frame_payload_v2(
     let mut meta = std::mem::take(&mut p.scratch_meta);
     pcs.clear();
     meta.clear();
-    let r = decode_columns_v2(records, payload, payload_at, out, p, &mut pcs, &mut meta);
+    let r = decode_columns(records, payload, payload_at, out, p, &mut pcs, &mut meta);
     p.scratch_pcs = pcs;
     p.scratch_meta = meta;
     r
@@ -1277,23 +955,20 @@ fn decode_frame_payload_v2(
 // whose wire protocol carries these frames verbatim).
 // ---------------------------------------------------------------------------
 
-/// Appends one complete version-2 frame — header plus encoded payload —
-/// for `batch` to `out`, through caller-owned predictor state (reuse one
+/// Appends one complete frame — header plus encoded payload — for `batch`
+/// to `out`, through caller-owned predictor state (reuse one
 /// [`Predictors`] per stream to amortize its tables). An empty batch
 /// appends nothing (the format has no empty frames). This is the single
 /// canonical frame encoder: [`TraceWriter::write_chunk_batch`] writes its
 /// output to the stream, and `igm-net` ships it verbatim inside chunk
 /// messages.
-pub fn encode_frame_with(p: &mut Predictors, codec: Codec, out: &mut Vec<u8>, batch: &TraceBatch) {
+pub fn encode_frame_with(p: &mut Predictors, out: &mut Vec<u8>, batch: &TraceBatch) {
     if batch.is_empty() {
         return;
     }
     let start = out.len();
     out.resize(start + FRAME_HEADER_BYTES_V2, 0);
-    match codec {
-        Codec::Delta => encode_batch(out, batch),
-        Codec::Predicted => encode_batch_v2(out, batch, p),
-    }
+    encode_batch(out, batch, p);
     let records = u32::try_from(batch.len()).expect("batch fits a u32 record count");
     let payload = start + FRAME_HEADER_BYTES_V2;
     let len = u32::try_from(out.len() - payload).expect("frame payload fits a u32 length");
@@ -1301,43 +976,27 @@ pub fn encode_frame_with(p: &mut Predictors, codec: Codec, out: &mut Vec<u8>, ba
     out[start..start + 4].copy_from_slice(&records.to_le_bytes());
     out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
     out[start + 8..start + 12].copy_from_slice(&sum.to_le_bytes());
-    out[start + 12..start + 16].copy_from_slice(&codec.wire().to_le_bytes());
+    out[start + 12..start + 16].copy_from_slice(&CODEC_ID.to_le_bytes());
 }
 
-/// Appends one predicted (codec 2) version-2 frame for `batch` to `out`
-/// with throwaway predictor state — a convenience over
-/// [`encode_frame_with`] for one-shot callers.
+/// Appends one frame for `batch` to `out` with throwaway predictor state
+/// — a convenience over [`encode_frame_with`] for one-shot callers.
 pub fn encode_frame(out: &mut Vec<u8>, batch: &TraceBatch) {
-    encode_frame_with(&mut Predictors::new(), Codec::Predicted, out, batch);
+    encode_frame_with(&mut Predictors::new(), out, batch);
 }
 
-/// Appends one complete version-1 frame (12-byte header, delta payload)
-/// for `batch` to `out` — the legacy encoder kept for writing format-1
-/// streams.
-pub fn encode_frame_v1(out: &mut Vec<u8>, batch: &TraceBatch) {
-    if batch.is_empty() {
-        return;
-    }
-    let start = out.len();
-    out.resize(start + FRAME_HEADER_BYTES, 0);
-    encode_batch(out, batch);
-    let records = u32::try_from(batch.len()).expect("batch fits a u32 record count");
-    let payload = start + FRAME_HEADER_BYTES;
-    let len = u32::try_from(out.len() - payload).expect("frame payload fits a u32 length");
-    let sum = checksum(&out[payload..]);
-    out[start..start + 4].copy_from_slice(&records.to_le_bytes());
-    out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
-    out[start + 8..start + 12].copy_from_slice(&sum.to_le_bytes());
-}
-
-/// Validates one frame header's fields (shared by every decode path).
-/// `offset` is the header's position in the stream, for error reporting.
-pub(crate) fn validate_frame_header(
-    records: u32,
-    len: u32,
+/// Parses and validates one frame header (shared by every decode path),
+/// returning `(records, payload_len, checksum)`. `offset` is the header's
+/// position in the stream, for error reporting.
+fn parse_frame_header(
+    h: &[u8; FRAME_HEADER_BYTES_V2],
     offset: u64,
-    codec: Codec,
-) -> Result<(), TraceError> {
+) -> Result<(u32, u32, u32), TraceError> {
+    let word = |i: usize| u32::from_le_bytes(h[i..i + 4].try_into().unwrap());
+    let (records, len, sum) = (word(0), word(4), word(8));
+    if word(12) != CODEC_ID {
+        return Err(TraceError::Corrupt { offset, reason: "unknown codec id in frame header" });
+    }
     if records == 0 {
         return Err(TraceError::Corrupt { offset, reason: "zero-record frame" });
     }
@@ -1351,59 +1010,26 @@ pub(crate) fn validate_frame_header(
         });
     }
     // A record count inconsistent with the payload length is corruption:
-    // every delta record spends at least two bytes (tag + pc varint), and
-    // every predicted record spends at least its pc and static hit bits.
-    // The checksum covers only the payload, not the header — this check
-    // must precede any length-driven allocation, or a flipped count field
-    // could drive a multi-gigabyte allocation instead of a typed error.
-    let min_len = match codec {
-        Codec::Delta => records as u64 * 2,
-        Codec::Predicted => (records as u64).div_ceil(8) * 2,
-    };
-    if min_len > len as u64 {
+    // every record spends at least its pc and static hit bits. The
+    // checksum covers only the payload, not the header — this check must
+    // precede any length-driven allocation, or a flipped count field could
+    // drive a multi-gigabyte allocation instead of a typed error.
+    if (records as u64).div_ceil(8) * 2 > len as u64 {
         return Err(TraceError::Corrupt {
             offset,
             reason: "record count inconsistent with frame payload length",
         });
     }
-    Ok(())
+    Ok((records, len, sum))
 }
 
-/// Verifies a codec-1 frame payload's checksum and decodes its records
-/// into `out`'s columns (appended; callers clear first if they want a
-/// fresh batch). `payload_at` is the payload's stream offset for error
-/// reporting.
-fn decode_frame_payload(
-    records: u32,
-    sum: u32,
-    payload: &[u8],
-    payload_at: u64,
-    out: &mut TraceBatch,
-) -> Result<(), TraceError> {
-    if checksum(payload) != sum {
-        return Err(TraceError::Corrupt { offset: payload_at, reason: "frame checksum mismatch" });
-    }
-    let mut cur = Cursor { bytes: payload, pos: 0, base: payload_at };
-    let mut st = CodecState::default();
-    for _ in 0..records {
-        decode_record(&mut cur, &mut st, out)?;
-    }
-    if cur.pos != payload.len() {
-        return Err(TraceError::Corrupt {
-            offset: payload_at + cur.pos as u64,
-            reason: "frame payload has trailing bytes",
-        });
-    }
-    Ok(())
-}
-
-/// Decodes exactly one complete version-2 frame from the start of `bytes`
-/// into `out`'s columns (cleared first), returning the bytes consumed.
-/// The frame must be whole and `bytes` must hold nothing else: truncation
-/// and trailing bytes are both [`TraceError::Corrupt`]. `stream_offset`
-/// is where `bytes[0]` sits in the surrounding stream, for error
-/// reporting — the inverse of [`encode_frame_with`], used by `igm-net` to
-/// decode the frame carried in one chunk message.
+/// Decodes exactly one complete frame from the start of `bytes` into
+/// `out`'s columns (cleared first), returning the bytes consumed. The
+/// frame must be whole and `bytes` must hold nothing else: truncation and
+/// trailing bytes are both [`TraceError::Corrupt`]. `stream_offset` is
+/// where `bytes[0]` sits in the surrounding stream, for error reporting —
+/// the inverse of [`encode_frame_with`], used by `igm-net` to decode the
+/// frame carried in one chunk message.
 pub fn decode_frame_with(
     p: &mut Predictors,
     bytes: &[u8],
@@ -1411,25 +1037,13 @@ pub fn decode_frame_with(
     out: &mut TraceBatch,
 ) -> Result<usize, TraceError> {
     out.clear();
-    if bytes.len() < FRAME_HEADER_BYTES_V2 {
+    let Some(header) = bytes.first_chunk::<FRAME_HEADER_BYTES_V2>() else {
         return Err(TraceError::Corrupt {
             offset: stream_offset + bytes.len() as u64,
             reason: "stream ends inside a frame header",
         });
-    }
-    let records = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    let len = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    let sum = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let codec = match Codec::from_wire(u32::from_le_bytes(bytes[12..16].try_into().unwrap())) {
-        Some(c) => c,
-        None => {
-            return Err(TraceError::Corrupt {
-                offset: stream_offset,
-                reason: "unknown codec id in frame header",
-            })
-        }
     };
-    validate_frame_header(records, len, stream_offset, codec)?;
+    let (records, len, sum) = parse_frame_header(header, stream_offset)?;
     let payload_at = stream_offset + FRAME_HEADER_BYTES_V2 as u64;
     let total = FRAME_HEADER_BYTES_V2 + len as usize;
     if bytes.len() < total {
@@ -1444,59 +1058,18 @@ pub fn decode_frame_with(
             reason: "frame payload has trailing bytes",
         });
     }
-    let payload = &bytes[FRAME_HEADER_BYTES_V2..total];
-    match codec {
-        Codec::Delta => decode_frame_payload(records, sum, payload, payload_at, out)?,
-        Codec::Predicted => decode_frame_payload_v2(records, sum, payload, payload_at, out, p)?,
-    }
+    decode_frame_payload(records, sum, &bytes[FRAME_HEADER_BYTES_V2..total], payload_at, out, p)?;
     Ok(total)
 }
 
-/// Decodes one version-2 frame with throwaway predictor state — a
-/// convenience over [`decode_frame_with`] for one-shot callers.
+/// Decodes one frame with throwaway predictor state — a convenience over
+/// [`decode_frame_with`] for one-shot callers.
 pub fn decode_frame(
     bytes: &[u8],
     stream_offset: u64,
     out: &mut TraceBatch,
 ) -> Result<usize, TraceError> {
     decode_frame_with(&mut Predictors::new(), bytes, stream_offset, out)
-}
-
-/// Decodes exactly one complete version-1 frame (12-byte header, delta
-/// payload) from the start of `bytes` — the legacy twin of
-/// [`decode_frame`].
-pub fn decode_frame_v1(
-    bytes: &[u8],
-    stream_offset: u64,
-    out: &mut TraceBatch,
-) -> Result<usize, TraceError> {
-    out.clear();
-    if bytes.len() < FRAME_HEADER_BYTES {
-        return Err(TraceError::Corrupt {
-            offset: stream_offset + bytes.len() as u64,
-            reason: "stream ends inside a frame header",
-        });
-    }
-    let records = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    let len = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    let sum = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    validate_frame_header(records, len, stream_offset, Codec::Delta)?;
-    let payload_at = stream_offset + FRAME_HEADER_BYTES as u64;
-    let total = FRAME_HEADER_BYTES + len as usize;
-    if bytes.len() < total {
-        return Err(TraceError::Corrupt {
-            offset: stream_offset + bytes.len() as u64,
-            reason: "stream ends inside a frame payload",
-        });
-    }
-    if bytes.len() > total {
-        return Err(TraceError::Corrupt {
-            offset: stream_offset + total as u64,
-            reason: "frame payload has trailing bytes",
-        });
-    }
-    decode_frame_payload(records, sum, &bytes[FRAME_HEADER_BYTES..total], payload_at, out)?;
-    Ok(total)
 }
 
 // ---------------------------------------------------------------------------
@@ -1606,38 +1179,16 @@ pub struct TraceWriter<W: Write> {
     /// writers that never read it should not accumulate an entry per
     /// frame forever).
     index: Option<crate::index::TraceIndex>,
-    /// Container format version being written (1 or 2).
-    version: u32,
-    /// Per-frame payload codec (always [`Codec::Delta`] for version 1).
-    codec: Codec,
-    /// Predictor state, allocated on first predicted frame.
+    /// Predictor state, allocated on the first frame.
     predictors: Option<Box<Predictors>>,
     metrics: CodecMetrics,
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Writes the file header and readies the encoder — a version-2
-    /// stream with value-predicted ([`Codec::Predicted`]) frames.
-    pub fn new(w: W) -> io::Result<TraceWriter<W>> {
-        TraceWriter::with_format(w, FORMAT_VERSION, Codec::Predicted)
-    }
-
-    /// Like [`TraceWriter::new`], but with an explicit per-frame payload
-    /// codec (a version-2 container may carry delta frames).
-    pub fn with_codec(w: W, codec: Codec) -> io::Result<TraceWriter<W>> {
-        TraceWriter::with_format(w, FORMAT_VERSION, codec)
-    }
-
-    /// Writes a legacy version-1 stream (12-byte frame headers, delta
-    /// payloads), for producing traces older readers understand.
-    pub fn new_v1(w: W) -> io::Result<TraceWriter<W>> {
-        TraceWriter::with_format(w, FORMAT_VERSION_V1, Codec::Delta)
-    }
-
-    fn with_format(mut w: W, version: u32, codec: Codec) -> io::Result<TraceWriter<W>> {
-        debug_assert!(version == FORMAT_VERSION || codec == Codec::Delta);
+    /// Writes the file header and readies the encoder.
+    pub fn new(mut w: W) -> io::Result<TraceWriter<W>> {
         w.write_all(&MAGIC)?;
-        w.write_all(&version.to_le_bytes())?;
+        w.write_all(&FORMAT_VERSION.to_le_bytes())?;
         Ok(TraceWriter {
             w,
             buf: Vec::new(),
@@ -1646,8 +1197,6 @@ impl<W: Write> TraceWriter<W> {
             records: 0,
             stream_bytes: 0,
             index: None,
-            version,
-            codec,
             predictors: None,
             metrics: CodecMetrics::detached(),
         })
@@ -1657,8 +1206,7 @@ impl<W: Write> TraceWriter<W> {
     /// *and* the per-frame posting lists as frames are written
     /// ([`TraceWriter::index`]) — byte-identical to what
     /// [`crate::index::TraceIndex::scan_records`] would rebuild from the
-    /// finished stream (the directory half alone matches the header-only
-    /// [`crate::index::TraceIndex::scan`]).
+    /// finished stream.
     pub fn with_index(w: W) -> io::Result<TraceWriter<W>> {
         let mut writer = TraceWriter::new(w)?;
         writer.index = Some(crate::index::TraceIndex::new());
@@ -1681,12 +1229,8 @@ impl<W: Write> TraceWriter<W> {
         }
         self.buf.clear();
         let started = self.metrics.start_encode();
-        if self.version == FORMAT_VERSION_V1 {
-            encode_frame_v1(&mut self.buf, batch);
-        } else {
-            let p = self.predictors.get_or_insert_with(|| Box::new(Predictors::new()));
-            encode_frame_with(p, self.codec, &mut self.buf, batch);
-        }
+        let p = self.predictors.get_or_insert_with(|| Box::new(Predictors::new()));
+        encode_frame_with(p, &mut self.buf, batch);
         self.metrics.stop_encode(started);
         self.w.write_all(&self.buf)?;
         self.metrics.count_frame(batch.len() as u64, self.buf.len() as u64);
@@ -1733,21 +1277,11 @@ impl<W: Write> TraceWriter<W> {
         self.stream_bytes
     }
 
-    /// The container format version being written.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// The per-frame payload codec being written.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
     /// The frame-offset index accumulated so far (`None` unless the
     /// writer was opened with [`TraceWriter::with_index`]) — one entry
     /// per frame written, byte-identical to what
-    /// [`crate::index::TraceIndex::scan`] rebuilds from the finished
-    /// stream. Save it as a sidecar ([`crate::index::TraceIndex::save`])
+    /// [`crate::index::TraceIndex::scan_records`] rebuilds from the
+    /// finished stream. Save it as a sidecar ([`crate::index::TraceIndex::save`])
     /// to enable seeking replays.
     pub fn index(&self) -> Option<&crate::index::TraceIndex> {
         self.index.as_ref()
@@ -1762,8 +1296,7 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Streaming decoder over any [`Read`] — speaks both format versions, so
-/// traces recorded before the predicted codec still replay.
+/// Streaming decoder over any [`Read`].
 ///
 /// [`TraceReader::read_chunk_into`] decodes one frame into a caller-owned,
 /// reusable buffer — the file-sourced twin of the runtime's batch-grain
@@ -1778,9 +1311,7 @@ pub struct TraceReader<R: Read> {
     offset: u64,
     chunks: u64,
     records: u64,
-    /// Container format version read from the file header (1 or 2).
-    version: u32,
-    /// Predictor state, allocated on the first predicted frame.
+    /// Predictor state, allocated on the first frame.
     predictors: Option<Box<Predictors>>,
     metrics: CodecMetrics,
 }
@@ -1802,7 +1333,7 @@ impl<R: Read> TraceReader<R> {
             _ => TraceError::Io(e),
         })?;
         let version = u32::from_le_bytes(ver);
-        if version != FORMAT_VERSION_V1 && version != FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
         Ok(TraceReader {
@@ -1812,7 +1343,6 @@ impl<R: Read> TraceReader<R> {
             offset: 8,
             chunks: 0,
             records: 0,
-            version,
             predictors: None,
             metrics: CodecMetrics::detached(),
         })
@@ -1824,11 +1354,6 @@ impl<R: Read> TraceReader<R> {
         self.metrics = CodecMetrics::register(registry);
     }
 
-    /// The container format version read from the file header.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// Decodes the next frame **directly into** `out`'s columns (cleared
     /// first) — the canonical decoder: no intermediate `Vec<TraceEntry>`
     /// is built, the frame's wire streams land in the batch's columns
@@ -1836,15 +1361,10 @@ impl<R: Read> TraceReader<R> {
     /// `out` holds a chunk.
     pub fn read_chunk_into_batch(&mut self, out: &mut TraceBatch) -> Result<bool, TraceError> {
         out.clear();
-        let hlen = if self.version == FORMAT_VERSION_V1 {
-            FRAME_HEADER_BYTES
-        } else {
-            FRAME_HEADER_BYTES_V2
-        };
         let mut header = [0u8; FRAME_HEADER_BYTES_V2];
-        match read_exact_or_eof(&mut self.r, &mut header[..hlen]) {
+        match read_exact_or_eof(&mut self.r, &mut header) {
             Ok(0) => return Ok(false),
-            Ok(n) if n < hlen => {
+            Ok(n) if n < FRAME_HEADER_BYTES_V2 => {
                 return Err(TraceError::Corrupt {
                     offset: self.offset + n as u64,
                     reason: "stream ends inside a frame header",
@@ -1853,24 +1373,8 @@ impl<R: Read> TraceReader<R> {
             Ok(_) => {}
             Err(e) => return Err(TraceError::Io(e)),
         }
-        let records = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let len = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let sum = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        let codec = if self.version == FORMAT_VERSION_V1 {
-            Codec::Delta
-        } else {
-            match Codec::from_wire(u32::from_le_bytes(header[12..16].try_into().unwrap())) {
-                Some(c) => c,
-                None => {
-                    return Err(TraceError::Corrupt {
-                        offset: self.offset,
-                        reason: "unknown codec id in frame header",
-                    })
-                }
-            }
-        };
-        validate_frame_header(records, len, self.offset, codec)?;
-        let payload_at = self.offset + hlen as u64;
+        let (records, len, sum) = parse_frame_header(&header, self.offset)?;
+        let payload_at = self.offset + FRAME_HEADER_BYTES_V2 as u64;
         self.buf.resize(len as usize, 0);
         match read_exact_or_eof(&mut self.r, &mut self.buf) {
             Ok(n) if n < len as usize => {
@@ -1883,15 +1387,10 @@ impl<R: Read> TraceReader<R> {
             Err(e) => return Err(TraceError::Io(e)),
         }
         let started = self.metrics.start_decode();
-        match codec {
-            Codec::Delta => decode_frame_payload(records, sum, &self.buf, payload_at, out)?,
-            Codec::Predicted => {
-                let p = self.predictors.get_or_insert_with(|| Box::new(Predictors::new()));
-                decode_frame_payload_v2(records, sum, &self.buf, payload_at, out, p)?;
-            }
-        }
+        let p = self.predictors.get_or_insert_with(|| Box::new(Predictors::new()));
+        decode_frame_payload(records, sum, &self.buf, payload_at, out, p)?;
         self.metrics.stop_decode(started);
-        self.metrics.count_frame(records as u64, (hlen + len as usize) as u64);
+        self.metrics.count_frame(records as u64, (FRAME_HEADER_BYTES_V2 + len as usize) as u64);
         self.offset = payload_at + len as u64;
         self.chunks += 1;
         self.records += records as u64;
@@ -1959,7 +1458,7 @@ impl<R: Read + io::Seek> TraceReader<R> {
 /// Like `read_exact`, but distinguishes "no bytes at all" (clean EOF,
 /// returns 0) and "some but not enough" (returns the short count) from
 /// I/O errors.
-pub(crate) fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
+fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {

@@ -1,34 +1,30 @@
-//! Sidecar indexes: frame-offset directories (v1) and per-frame posting
-//! lists (v2) for random-access replay *and* replay-free queries.
+//! Sidecar indexes: a frame-offset directory plus per-frame posting
+//! lists, for random-access replay *and* replay-free queries.
 //!
-//! A trace file is a sequence of self-contained frames (both delta streams
-//! reset at every frame boundary), so any frame is a valid decode entry
-//! point — but finding the frame that holds record *k* normally means
-//! decoding every frame before it. A [`TraceIndex`] is the missing
-//! directory: one `(byte offset, records)` entry per frame, built as the
-//! stream is written ([`TraceWriter::with_index`](crate::TraceWriter::with_index))
-//! or rebuilt afterwards by [`TraceIndex::scan`] in one pass that reads
-//! only frame *headers*, skipping every payload, and saved as a compact
-//! sidecar file.
+//! A trace file is a sequence of self-contained frames (delta streams and
+//! predictor tables reset at every frame boundary), so any frame is a
+//! valid decode entry point — but finding the frame that holds record *k*
+//! normally means decoding every frame before it. A [`TraceIndex`] is the
+//! missing directory: one `(byte offset, records)` entry per frame. Next
+//! to it, every frame carries one
+//! [`FramePostings`](crate::postings::FramePostings) section: compressed
+//! bitmap posting lists keyed by pc bucket, opcode class, address page and
+//! violation site (see [`crate::postings`]), which is what lets the trace
+//! lake answer "which records touched page X" without decoding any frame
+//! payload.
 //!
-//! Version 2 sidecars additionally carry one
-//! [`FramePostings`](crate::postings::FramePostings) section per frame:
-//! compressed bitmap posting lists keyed by pc bucket, opcode class,
-//! address page and violation site (see [`crate::postings`]), which is
-//! what lets the trace lake answer "which records touched page X"
-//! without decoding any frame payload. Postings are built inline by the
-//! indexing writer or rebuilt offline by [`TraceIndex::scan_records`]
-//! (which *does* decode payloads — it must see the columns); both
-//! construction paths serialize byte-identically. Version 1 sidecars
-//! (directory only) still load, and an index without postings still
-//! saves as v1, so pre-lake sidecars and their producers keep working.
+//! The index is built as the stream is written
+//! ([`TraceWriter::with_index`](crate::TraceWriter::with_index)) or
+//! rebuilt afterwards by [`TraceIndex::scan_records`], which decodes every
+//! frame's columns; both construction paths serialize byte-identically to
+//! one sidecar format (`IGMX`, version [`INDEX_VERSION_V2`]).
 //!
 //! With an index, [`replay_window`](crate::capture::replay_window) seeks a
 //! [`TraceReader`](crate::TraceReader) straight to the first frame of a
 //! record-range window and decodes only the frames the window touches —
 //! the prefix is never decoded.
 
-use crate::codec::{checksum, Codec, TraceError, FRAME_HEADER_BYTES, FRAME_HEADER_BYTES_V2, MAGIC};
+use crate::codec::{checksum, TraceError};
 use crate::postings::FramePostings;
 use igm_lba::TraceBatch;
 use std::fs::File;
@@ -38,10 +34,7 @@ use std::path::Path;
 /// The four magic bytes opening every index sidecar.
 pub const INDEX_MAGIC: [u8; 4] = *b"IGMX";
 
-/// Directory-only index format version.
-pub const INDEX_VERSION: u32 = 1;
-
-/// Directory + per-frame posting lists format version.
+/// The sidecar format version: directory plus per-frame posting lists.
 pub const INDEX_VERSION_V2: u32 = 2;
 
 /// One frame's directory entry.
@@ -56,8 +49,8 @@ pub struct IndexEntry {
     pub records: u32,
 }
 
-/// A frame-offset directory — and, when built from record content, a
-/// per-frame posting index — over one trace stream.
+/// A frame-offset directory and per-frame posting index over one trace
+/// stream.
 ///
 /// # Example
 ///
@@ -66,9 +59,9 @@ pub struct IndexEntry {
 /// use igm_workload::Benchmark;
 ///
 /// let bytes = encode_to_vec(Benchmark::Gzip.trace(5_000), 2048);
-/// let index = TraceIndex::scan(&bytes[..]).unwrap();
+/// let index = TraceIndex::scan_records(&bytes[..]).unwrap();
 /// assert_eq!(index.total_records(), 5_000);
-/// // The frame holding record 3_000, located without decoding anything.
+/// // The frame holding record 3_000, located from the directory alone.
 /// let entry = index.frame_for_record(3_000).unwrap();
 /// assert!(entry.first_record <= 3_000);
 /// assert!(3_000 < entry.first_record + entry.records as u64);
@@ -76,8 +69,7 @@ pub struct IndexEntry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceIndex {
     entries: Vec<IndexEntry>,
-    /// Either empty (directory-only index) or exactly one section per
-    /// entry (posting index).
+    /// Exactly one section per entry.
     postings: Vec<FramePostings>,
     total_records: u64,
 }
@@ -88,11 +80,10 @@ impl TraceIndex {
         TraceIndex::default()
     }
 
-    /// Appends one frame's directory entry (header-only construction:
-    /// the scan path and v1 sidecar loads).
-    pub(crate) fn push_frame(&mut self, offset: u64, records: u32) {
-        debug_assert!(self.postings.is_empty(), "cannot mix directory-only and posting frames");
+    /// Appends one frame's directory entry and its posting section.
+    fn push(&mut self, offset: u64, records: u32, postings: FramePostings) {
         self.entries.push(IndexEntry { offset, first_record: self.total_records, records });
+        self.postings.push(postings);
         self.total_records += records as u64;
     }
 
@@ -101,14 +92,7 @@ impl TraceIndex {
     /// and the decoding scan both land here, which is what makes their
     /// sidecars byte-identical).
     pub(crate) fn push_frame_batch(&mut self, offset: u64, batch: &TraceBatch) {
-        debug_assert_eq!(self.postings.len(), self.entries.len(), "posting/frame misalignment");
-        self.entries.push(IndexEntry {
-            offset,
-            first_record: self.total_records,
-            records: batch.len() as u32,
-        });
-        self.postings.push(FramePostings::from_batch(batch));
-        self.total_records += batch.len() as u64;
+        self.push(offset, batch.len() as u32, FramePostings::from_batch(batch));
     }
 
     /// The per-frame directory, in stream order.
@@ -116,13 +100,7 @@ impl TraceIndex {
         &self.entries
     }
 
-    /// Whether this index carries per-frame posting lists (v2 content).
-    pub fn has_postings(&self) -> bool {
-        !self.postings.is_empty()
-    }
-
-    /// The per-frame posting sections, aligned with [`TraceIndex::entries`];
-    /// empty for a directory-only index.
+    /// The per-frame posting sections, aligned with [`TraceIndex::entries`].
     pub fn frame_postings(&self) -> &[FramePostings] {
         &self.postings
     }
@@ -162,82 +140,8 @@ impl TraceIndex {
         Some(self.entries.partition_point(|e| e.first_record + e.records as u64 <= record))
     }
 
-    /// Builds the directory from a finished trace stream in one scan that
-    /// reads frame *headers* only — every payload is skipped, not decoded
-    /// (payload integrity is still the reader's job at replay time). The
-    /// result carries no postings; see [`TraceIndex::scan_records`] for
-    /// the full posting index.
-    pub fn scan<R: Read>(mut r: R) -> Result<TraceIndex, TraceError> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic).map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => TraceError::BadMagic,
-            _ => TraceError::Io(e),
-        })?;
-        if magic != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let mut ver = [0u8; 4];
-        r.read_exact(&mut ver).map_err(TraceError::Io)?;
-        let version = u32::from_le_bytes(ver);
-        if version != crate::codec::FORMAT_VERSION_V1 && version != crate::FORMAT_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let hlen = if version == crate::codec::FORMAT_VERSION_V1 {
-            FRAME_HEADER_BYTES
-        } else {
-            FRAME_HEADER_BYTES_V2
-        };
-        let mut index = TraceIndex::new();
-        let mut offset = 8u64;
-        let mut header = [0u8; FRAME_HEADER_BYTES_V2];
-        loop {
-            match read_exact_or_eof(&mut r, &mut header[..hlen])? {
-                0 => return Ok(index),
-                n if n < hlen => {
-                    return Err(TraceError::Corrupt {
-                        offset: offset + n as u64,
-                        reason: "stream ends inside a frame header",
-                    })
-                }
-                _ => {}
-            }
-            let records = u32::from_le_bytes(header[0..4].try_into().unwrap());
-            let len = u32::from_le_bytes(header[4..8].try_into().unwrap());
-            let codec = if version == crate::codec::FORMAT_VERSION_V1 {
-                Codec::Delta
-            } else {
-                match Codec::from_wire(u32::from_le_bytes(header[12..16].try_into().unwrap())) {
-                    Some(c) => c,
-                    None => {
-                        return Err(TraceError::Corrupt {
-                            offset,
-                            reason: "unknown codec id in frame header",
-                        })
-                    }
-                }
-            };
-            crate::codec::validate_frame_header(records, len, offset, codec)?;
-            // Skip the payload without materializing it.
-            let skipped = io::copy(&mut r.by_ref().take(len as u64), &mut io::sink())
-                .map_err(TraceError::Io)?;
-            if skipped < len as u64 {
-                return Err(TraceError::Corrupt {
-                    offset: offset + hlen as u64 + skipped,
-                    reason: "stream ends inside a frame payload",
-                });
-            }
-            index.push_frame(offset, records);
-            offset += hlen as u64 + len as u64;
-        }
-    }
-
-    /// Scans the trace file at `path` (directory only).
-    pub fn scan_file(path: impl AsRef<Path>) -> Result<TraceIndex, TraceError> {
-        TraceIndex::scan(BufReader::new(File::open(path).map_err(TraceError::Io)?))
-    }
-
-    /// Builds the *full* posting index from a finished trace stream by
-    /// decoding every frame's columns — the offline twin of
+    /// Builds the index from a finished trace stream by decoding every
+    /// frame's columns — the offline twin of
     /// [`TraceWriter::with_index`](crate::TraceWriter::with_index):
     /// both run the same per-batch extraction, so the two indexes
     /// serialize byte-identically. Payload checksums are verified as a
@@ -260,31 +164,25 @@ impl TraceIndex {
         TraceIndex::scan_records(BufReader::new(File::open(path).map_err(TraceError::Io)?))
     }
 
-    /// Serializes the index. Directory-only indexes write version 1:
-    /// `IGMX`, version, frame count, one `(offset u64, records u32)` LE
-    /// pair per frame, an FNV-1a-32 checksum over the entry bytes.
-    /// Posting indexes write version 2: the same directory, then a
-    /// `u64` posting-section length and each frame's encoded
-    /// [`FramePostings`], with the trailing checksum covering entry and
-    /// posting bytes both.
+    /// Serializes the index: `IGMX`, version, frame count, one
+    /// `(offset u64, records u32)` LE pair per frame, a `u64`
+    /// posting-section length and each frame's encoded [`FramePostings`],
+    /// then an FNV-1a-32 checksum over the entry and posting bytes.
     pub fn save<W: Write>(&self, mut w: W) -> io::Result<()> {
-        let version = if self.has_postings() { INDEX_VERSION_V2 } else { INDEX_VERSION };
         w.write_all(&INDEX_MAGIC)?;
-        w.write_all(&version.to_le_bytes())?;
+        w.write_all(&INDEX_VERSION_V2.to_le_bytes())?;
         w.write_all(&(self.entries.len() as u64).to_le_bytes())?;
         let mut body = Vec::with_capacity(self.entries.len() * 12);
         for e in &self.entries {
             body.extend_from_slice(&e.offset.to_le_bytes());
             body.extend_from_slice(&e.records.to_le_bytes());
         }
-        if self.has_postings() {
-            let mut sections = Vec::new();
-            for p in &self.postings {
-                p.encode(&mut sections);
-            }
-            body.extend_from_slice(&(sections.len() as u64).to_le_bytes());
-            body.extend_from_slice(&sections);
+        let mut sections = Vec::new();
+        for p in &self.postings {
+            p.encode(&mut sections);
         }
+        body.extend_from_slice(&(sections.len() as u64).to_le_bytes());
+        body.extend_from_slice(&sections);
         w.write_all(&body)?;
         w.write_all(&checksum(&body).to_le_bytes())?;
         w.flush()
@@ -295,26 +193,24 @@ impl TraceIndex {
         self.save(BufWriter::new(File::create(path)?))
     }
 
-    /// Deserializes an index written by [`TraceIndex::save`] (either
-    /// version).
+    /// Deserializes an index written by [`TraceIndex::save`]. A sidecar
+    /// cut anywhere is [`TraceError::Corrupt`]; any version word but
+    /// [`INDEX_VERSION_V2`] is [`TraceError::UnsupportedVersion`].
     pub fn load<R: Read>(mut r: R) -> Result<TraceIndex, TraceError> {
         let corrupt = |reason| TraceError::Corrupt { offset: 0, reason };
         let mut magic = [0u8; 4];
-        r.read_exact(&mut magic).map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => corrupt("index sidecar truncated"),
-            _ => TraceError::Io(e),
-        })?;
+        read_or_truncated(&mut r, &mut magic)?;
         if magic != INDEX_MAGIC {
             return Err(corrupt("not an igm trace index (bad magic)"));
         }
         let mut word = [0u8; 4];
-        r.read_exact(&mut word).map_err(TraceError::Io)?;
+        read_or_truncated(&mut r, &mut word)?;
         let version = u32::from_le_bytes(word);
-        if version != INDEX_VERSION && version != INDEX_VERSION_V2 {
+        if version != INDEX_VERSION_V2 {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let mut count = [0u8; 8];
-        r.read_exact(&mut count).map_err(TraceError::Io)?;
+        read_or_truncated(&mut r, &mut count)?;
         let count = u64::from_le_bytes(count);
         // 12 bytes per entry: a corrupt count cannot drive an allocation
         // larger than what the stream actually holds.
@@ -324,25 +220,17 @@ impl TraceIndex {
         if body.len() as u64 != entry_bytes {
             return Err(corrupt("index sidecar truncated"));
         }
+        let mut len = [0u8; 8];
+        read_or_truncated(&mut r, &mut len)?;
+        let plen = u64::from_le_bytes(len);
         let mut sections = Vec::new();
-        if version == INDEX_VERSION_V2 {
-            let mut len = [0u8; 8];
-            r.read_exact(&mut len).map_err(|e| match e.kind() {
-                io::ErrorKind::UnexpectedEof => corrupt("index sidecar truncated"),
-                _ => TraceError::Io(e),
-            })?;
-            let plen = u64::from_le_bytes(len);
-            r.by_ref().take(plen).read_to_end(&mut sections).map_err(TraceError::Io)?;
-            if sections.len() as u64 != plen {
-                return Err(corrupt("index sidecar truncated"));
-            }
-            body.extend_from_slice(&len);
-            body.extend_from_slice(&sections);
+        r.by_ref().take(plen).read_to_end(&mut sections).map_err(TraceError::Io)?;
+        if sections.len() as u64 != plen {
+            return Err(corrupt("index sidecar truncated"));
         }
-        r.read_exact(&mut word).map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => corrupt("index sidecar truncated"),
-            _ => TraceError::Io(e),
-        })?;
+        body.extend_from_slice(&len);
+        body.extend_from_slice(&sections);
+        read_or_truncated(&mut r, &mut word)?;
         if checksum(&body) != u32::from_le_bytes(word) {
             return Err(corrupt("index sidecar checksum mismatch"));
         }
@@ -354,21 +242,11 @@ impl TraceIndex {
             if records == 0 {
                 return Err(corrupt("index entry with zero records"));
             }
-            if version == INDEX_VERSION_V2 {
-                let fp = FramePostings::decode(&sections, &mut pos, records)
-                    .map_err(|reason| TraceError::Corrupt { offset: pos as u64, reason })?;
-                index.entries.push(IndexEntry {
-                    offset,
-                    first_record: index.total_records,
-                    records,
-                });
-                index.postings.push(fp);
-                index.total_records += records as u64;
-            } else {
-                index.push_frame(offset, records);
-            }
+            let fp = FramePostings::decode(&sections, &mut pos, records)
+                .map_err(|reason| TraceError::Corrupt { offset: pos as u64, reason })?;
+            index.push(offset, records, fp);
         }
-        if version == INDEX_VERSION_V2 && pos != sections.len() {
+        if pos != sections.len() {
             return Err(corrupt("trailing bytes after last posting section"));
         }
         Ok(index)
@@ -380,7 +258,12 @@ impl TraceIndex {
     }
 }
 
-/// Like `read_exact`, but distinguishes clean EOF (0) and short reads.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, TraceError> {
-    crate::codec::read_exact_or_eof(r, buf).map_err(TraceError::Io)
+/// `read_exact`, with a short read reported as a truncated sidecar.
+fn read_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), TraceError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => {
+            TraceError::Corrupt { offset: 0, reason: "index sidecar truncated" }
+        }
+        _ => TraceError::Io(e),
+    })
 }

@@ -21,16 +21,16 @@
 //!   no intermediate `Vec<TraceEntry>` on either side (the entry-slice
 //!   APIs remain as thin conversion wrappers). Typical generated
 //!   workloads encode to ~1–1.5 bytes/record, ~20× under the in-memory
-//!   `size_of::<TraceEntry>()`, and legacy delta-coded (format 1) files
-//!   still replay.
+//!   `size_of::<TraceEntry>()`.
 //! * [`capture`] — [`CaptureSession`] tees a live pool session's batches
 //!   into a trace file; [`replay_file`]/[`replay_reader`] feed a recorded
 //!   file back through a fresh [`igm_runtime::MonitorPool`] session and
 //!   reproduce the live run's violations and dispatch stats exactly.
-//! * [`index`] — [`TraceIndex`]: a sidecar frame-offset directory (built
-//!   by the writer on request, or by a header-only scan) that lets
-//!   [`replay_window`] seek straight to a record-range window without
-//!   decoding the prefix.
+//! * [`index`] — [`TraceIndex`]: a sidecar frame-offset directory with
+//!   per-frame posting lists (built by the writer on request, or by a
+//!   decoding scan) that lets [`replay_window`] seek straight to a
+//!   record-range window without decoding the prefix, and the trace lake
+//!   answer queries without decoding at all.
 //! * [`ingest`] — [`Ingestor`]: **one** OS thread multiplexing many
 //!   tenant [`TraceSource`]s (in-memory generators, trace files,
 //!   readiness-polled pipes, `igm-net` sockets) into pool sessions via
@@ -55,12 +55,11 @@ pub use capture::{
     CaptureError, CaptureSession,
 };
 pub use codec::{
-    checksum, decode_frame, decode_frame_v1, decode_frame_with, decode_from_slice, encode_frame,
-    encode_frame_v1, encode_frame_with, encode_to_vec, frame_codec, Codec, CodecMetrics,
-    Predictors, TraceError, TraceReader, TraceWriter, FORMAT_VERSION, FORMAT_VERSION_V1,
-    FRAME_HEADER_BYTES, FRAME_HEADER_BYTES_V2, MAGIC, MAX_PAYLOAD_BYTES,
+    checksum, decode_frame, decode_frame_with, decode_from_slice, encode_frame, encode_frame_with,
+    encode_to_vec, CodecMetrics, Predictors, TraceError, TraceReader, TraceWriter, CODEC_ID,
+    FORMAT_VERSION, FRAME_HEADER_BYTES_V2, MAGIC, MAX_PAYLOAD_BYTES,
 };
-pub use index::{IndexEntry, TraceIndex, INDEX_MAGIC, INDEX_VERSION, INDEX_VERSION_V2};
+pub use index::{IndexEntry, TraceIndex, INDEX_MAGIC, INDEX_VERSION_V2};
 pub use ingest::{
     batch_pipe, FileSource, IngestConfig, IngestReport, Ingestor, IterSource, LanePoll, LaneStats,
     PassOutcome, PipeSender, PipeSource, SourceStatus, TraceSource,

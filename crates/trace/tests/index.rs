@@ -1,5 +1,5 @@
-//! The sidecar frame-offset index: writer-built == scan-built, sidecar
-//! round trip, and seeking replay windows without decoding the prefix.
+//! The sidecar index: writer-built == scan-built, sidecar round trip and
+//! damage, and seeking replay windows without decoding the prefix.
 
 use igm_lba::TraceBatch;
 use igm_lifeguards::LifeguardKind;
@@ -26,13 +26,11 @@ fn encoded() -> (Vec<u8>, TraceIndex) {
 }
 
 #[test]
-fn writer_index_matches_a_header_scan() {
+fn writer_index_matches_a_record_scan() {
     let (bytes, written) = encoded();
-    let scanned = TraceIndex::scan(&bytes[..]).unwrap();
-    // The header-only scan rebuilds the directory half exactly; the
-    // writer additionally carries postings (v2 content).
-    assert_eq!(written.entries(), scanned.entries());
-    assert!(written.has_postings() && !scanned.has_postings());
+    let scanned = TraceIndex::scan_records(&bytes[..]).unwrap();
+    assert_eq!(written, scanned);
+    assert_eq!(written.frame_postings().len(), written.frames(), "one posting section per frame");
     assert!(written.frames() > 1, "the workload must span several frames");
     assert_eq!(written.total_records(), N);
     // Entries partition the record space contiguously.
@@ -57,19 +55,28 @@ fn sidecar_round_trips_and_rejects_damage() {
     let mut bad = sidecar.clone();
     bad[0] = b'Z';
     assert!(matches!(TraceIndex::load(&bad[..]), Err(TraceError::Corrupt { .. })));
-    // Wrong version.
-    let mut bad = sidecar.clone();
-    bad[4..8].copy_from_slice(&(INDEX_VERSION_V2 + 1).to_le_bytes());
-    assert!(matches!(TraceIndex::load(&bad[..]), Err(TraceError::UnsupportedVersion(_))));
+    // Wrong version: the next one, and the retired directory-only v1.
+    for version in [INDEX_VERSION_V2 + 1, 1] {
+        let mut bad = sidecar.clone();
+        bad[4..8].copy_from_slice(&version.to_le_bytes());
+        assert!(matches!(
+            TraceIndex::load(&bad[..]),
+            Err(TraceError::UnsupportedVersion(v)) if v == version
+        ));
+    }
     // Flipped entry byte: checksum catches it.
     let mut bad = sidecar.clone();
     let mid = 16 + (bad.len() - 20) / 2;
     bad[mid] ^= 0xff;
     assert!(matches!(TraceIndex::load(&bad[..]), Err(TraceError::Corrupt { .. })));
-    // Truncation (inside the posting section and at the tail).
-    for cut in [3, sidecar.len() / 3] {
-        let bad = &sidecar[..sidecar.len() - cut];
-        assert!(matches!(TraceIndex::load(bad), Err(TraceError::Corrupt { .. })));
+    // Truncation at every length — inside the magic, the version and
+    // frame-count words, the directory, the posting section and the
+    // checksum — is a typed truncation error.
+    for cut in 0..sidecar.len() {
+        match TraceIndex::load(&sidecar[..cut]) {
+            Err(TraceError::Corrupt { reason: "index sidecar truncated", .. }) => {}
+            other => panic!("sidecar cut at {cut} of {}: got {other:?}", sidecar.len()),
+        }
     }
 }
 
@@ -110,24 +117,6 @@ fn v2_posting_section_damage_is_rejected_structurally() {
         Ok(loaded) => assert_ne!(loaded, index, "damaged sidecar must not load as the original"),
         Err(e) => panic!("unexpected error kind: {e:?}"),
     }
-}
-
-/// A directory-only index still writes the v1 format, and v1 sidecars
-/// (whatever produced them) still load — read-compat for every sidecar
-/// written before postings existed.
-#[test]
-fn v1_sidecars_still_load() {
-    let (bytes, written) = encoded();
-    let scanned = TraceIndex::scan(&bytes[..]).unwrap();
-    let mut v1 = Vec::new();
-    scanned.save(&mut v1).unwrap();
-    assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1, "directory-only saves as v1");
-    let loaded = TraceIndex::load(&v1[..]).unwrap();
-    assert_eq!(loaded, scanned);
-    assert!(!loaded.has_postings());
-    assert_eq!(loaded.entries(), written.entries());
-    // It still drives seeks exactly like the posting-bearing index.
-    assert_eq!(loaded.frame_for_record(N / 2).unwrap(), written.frame_for_record(N / 2).unwrap());
 }
 
 /// The tentpole byte-identity property: an index built inline by the
